@@ -117,25 +117,6 @@ def _measures_from_config(cfg, count):
     return [measure_from_json(m) for m in raw]
 
 
-def _scheme_from_config(cfg):
-    data = cfg.get("scheme")
-    if not isinstance(data, dict):
-        raise ConfigError("scheme: needs an object with a 'kind' entry")
-    kind = data.get("kind")
-    if kind in ("implicit", "explicit"):
-        if "tau" not in data:
-            raise ConfigError("scheme.tau: missing required entry")
-        tau = float(data["tau"])
-        if tau <= 0.0:
-            raise ConfigError(f"scheme.tau: must be positive, got {tau}")
-    elif kind == "exponential":
-        if "n" not in data or int(data["n"]) < 1:
-            raise ConfigError("scheme.n: must be a positive integer")
-    else:
-        raise ConfigError(f"scheme.kind: unknown kind {kind!r}")
-    return scheme_from_json(data)
-
-
 def _params_of(cfg):
     params = cfg.get("params", {})
     if not isinstance(params, dict):
@@ -149,16 +130,25 @@ def _param(params, name, cast=float, required=True, default=None):
             raise ConfigError(f"params.{name}: missing required entry")
         return default
     try:
-        return cast(params[name])
-    except (TypeError, ValueError) as exc:
+        value = cast(params[name])
+        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"params.{name}: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"params.{name}: must be finite, got {value}")
+    return value
 
 
 def _seed_of(cfg, args, required):
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None and required:
-        raise ConfigError("seed: this experiment needs a seed (config entry or --seed)")
-    return None if seed is None else int(seed)
+    if seed is None:
+        if required:
+            raise ConfigError("seed: this experiment needs a seed (config entry or --seed)")
+        return None
+    try:
+        return int(seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"seed: {exc}") from exc
 
 
 def _pass_str(flag):
@@ -211,7 +201,7 @@ def _cmd_simulate(args):
     _check_experiment(cfg, "simulate")
     driver = _driver_from_config(cfg)
     mu0 = _measures_from_config(cfg, 1)[0]
-    scheme = _scheme_from_config(cfg)
+    scheme = scheme_from_json(cfg.get("scheme"))
     params = _params_of(cfg)
     horizon = _param(params, "T")
     merge_eps = _param(params, "merge_eps", required=False, default=0.0)
@@ -309,7 +299,7 @@ def _cmd_contraction(args):
     _check_experiment(cfg, "contraction")
     driver = _driver_from_config(cfg)
     measures = _measures_from_config(cfg, 2)
-    scheme = _scheme_from_config(cfg)
+    scheme = scheme_from_json(cfg.get("scheme"))
     params = _params_of(cfg)
     lam = _param(params, "lambda")
     t_grid = _param(params, "t_grid", lambda v: [float(t) for t in v])
@@ -343,7 +333,7 @@ def _cmd_meanfield(args):
     _check_experiment(cfg, "meanfield")
     driver = _driver_from_config(cfg)
     mu0 = _measures_from_config(cfg, 1)[0]
-    scheme = _scheme_from_config(cfg)
+    scheme = scheme_from_json(cfg.get("scheme"))
     params = _params_of(cfg)
     n_list = _param(params, "N_list", lambda v: [int(n) for n in v])
     horizon = _param(params, "t")
@@ -499,7 +489,7 @@ def main(argv=None):
     except (MeasureError, TransportError, FieldError, OperatorError, FlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from wflow.measures import Coupling, common_denominator, expand
+from wflow.measures import Coupling, expand_pair
 from wflow.transport import w2_exact
 
 EXHAUSTIVE_CAP = 8
@@ -113,24 +113,21 @@ class VelocityField:
 
     ``lambda_claim`` is the declared dissipativity parameter; ``lip`` an
     optional Lipschitz bound for the induced particle map, used by explicit
-    stepping and fixed-point solvers.  ``batch_fn`` vectorizes evaluation
-    over particle arrays; the fallback loops over rows.
+    stepping and fixed-point solvers.  ``batch_fn`` maps an (n, d) particle
+    array and the measure to the (n, d) velocities; a single point is a
+    one-row batch.
     """
 
-    eval_fn: Callable
+    batch_fn: Callable
     lambda_claim: float
     lip: Optional[float] = None
-    batch_fn: Optional[Callable] = None
     meta: Optional[dict] = None
 
     def evaluate(self, x, mu):
-        return np.asarray(self.eval_fn(np.asarray(x, dtype=float), mu), dtype=float)
+        return self.evaluate_batch(np.asarray(x, dtype=float)[None, :], mu)[0]
 
     def evaluate_batch(self, points, mu):
-        pts = np.asarray(points, dtype=float)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(pts, mu), dtype=float)
-        return np.stack([self.evaluate(x, mu) for x in pts])
+        return np.asarray(self.batch_fn(np.asarray(points, dtype=float), mu), dtype=float)
 
 
 def linear_field(matrix, offset):
@@ -147,10 +144,9 @@ def linear_field(matrix, offset):
     claim = float(np.max(np.linalg.eigvalsh(sym)))
     lip = float(np.linalg.norm(a, 2))
     return VelocityField(
-        eval_fn=lambda x, mu: a @ x + b,
+        batch_fn=lambda pts, mu: pts @ a.T + b,
         lambda_claim=claim,
         lip=lip,
-        batch_fn=lambda pts, mu: pts @ a.T + b,
         meta={"kind": "linear", "params": {"matrix": a.tolist(), "offset": b.tolist()}},
     )
 
@@ -161,10 +157,9 @@ def barycentric_field(strength, drift):
     b = np.asarray(drift, dtype=float)
     claim = 0.0 if s >= 0.0 else -s
     return VelocityField(
-        eval_fn=lambda x, mu: s * (mu.mean() - x) + b,
+        batch_fn=lambda pts, mu: s * (mu.mean()[None, :] - pts) + b,
         lambda_claim=claim,
         lip=abs(s),
-        batch_fn=lambda pts, mu: s * (mu.mean()[None, :] - pts) + b,
         meta={"kind": "barycentric", "params": {"strength": s, "drift": b.tolist()}},
     )
 
@@ -180,20 +175,15 @@ def pw_field(pot, inter):
     li = inter.grad_lipschitz
     lip = None if lp is None or li is None else lp + 2.0 * li
 
-    def ev(x, mu):
-        conv = np.tensordot(mu.weights, inter.grad(x[None, :] - mu.atoms), axes=(0, 0))
-        return -pot.grad(x) - conv
-
     def ev_batch(pts, mu):
         diffs = pts[:, None, :] - mu.atoms[None, :, :]
         conv = np.tensordot(inter.grad(diffs), mu.weights, axes=(1, 0))
         return -pot.grad(pts) - conv
 
     return VelocityField(
-        eval_fn=ev,
+        batch_fn=ev_batch,
         lambda_claim=claim,
         lip=lip,
-        batch_fn=ev_batch,
         meta={
             "kind": "pw",
             "params": {
@@ -204,32 +194,22 @@ def pw_field(pot, inter):
     )
 
 
-class SuperpositionField:
-    """Convex mixture of velocity fields with weights summing to one."""
+def barycentric_projection(components):
+    """Collapse a convex mixture of fields to its mean field.
 
-    def __init__(self, components):
-        comps = [(float(w), f) for w, f in components]
-        if any(w < 0.0 for w, _ in comps):
-            raise FieldError("superposition weights must be nonnegative")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise FieldError(f"superposition weights must sum to 1, got {total}")
-        self.components = comps
-
-
-def barycentric_projection(superposition):
-    """Collapse a mixture of fields to its mean field.
-
-    The projected field averages the component velocities pointwise; the
-    dissipativity claims mix linearly.
+    ``components`` lists (weight, field) pairs; the weights must be
+    nonnegative and sum to one.  The projected field averages the component
+    velocities pointwise; the dissipativity claims mix linearly.
     """
-    comps = superposition.components
+    comps = [(float(w), f) for w, f in components]
+    if any(w < 0.0 for w, _ in comps):
+        raise FieldError("superposition weights must be nonnegative")
+    total = sum(w for w, _ in comps)
+    if abs(total - 1.0) > 1e-12:
+        raise FieldError(f"superposition weights must sum to 1, got {total}")
     claim = sum(w * f.lambda_claim for w, f in comps)
     lips = [f.lip for _, f in comps]
     lip = None if any(v is None for v in lips) else sum(w * v for (w, _), v in zip(comps, lips))
-
-    def ev(x, mu):
-        return sum(w * f.evaluate(x, mu) for w, f in comps)
 
     def ev_batch(pts, mu):
         return sum(w * f.evaluate_batch(pts, mu) for w, f in comps)
@@ -246,9 +226,7 @@ def barycentric_projection(superposition):
                 ]
             },
         }
-    return VelocityField(
-        eval_fn=ev, lambda_claim=float(claim), lip=lip, batch_fn=ev_batch, meta=meta
-    )
+    return VelocityField(batch_fn=ev_batch, lambda_claim=float(claim), lip=lip, meta=meta)
 
 
 def lambda_transform(f, lam):
@@ -260,20 +238,11 @@ def lambda_transform(f, lam):
     """
     lam = float(lam)
 
-    def ev(x, mu):
-        return f.evaluate(x, mu) - lam * x
-
     def ev_batch(pts, mu):
         return f.evaluate_batch(pts, mu) - lam * pts
 
     lip = None if f.lip is None else f.lip + abs(lam)
-    return VelocityField(
-        eval_fn=ev,
-        lambda_claim=f.lambda_claim - lam,
-        lip=lip,
-        batch_fn=ev_batch,
-        meta=None,
-    )
+    return VelocityField(batch_fn=ev_batch, lambda_claim=f.lambda_claim - lam, lip=lip)
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +295,6 @@ class DissipativityReport:
     n_checked: int
 
 
-def _pair_gap_matrix(f, mu0, mu1, lam, n):
-    xs = expand(mu0, n).particles
-    ys = expand(mu1, n).particles
-    v0 = f.evaluate_batch(xs, mu0)
-    v1 = f.evaluate_batch(ys, mu1)
-    diff = xs[:, None, :] - ys[None, :, :]
-    vdiff = v0[:, None, :] - v1[None, :, :]
-    g = np.sum(vdiff * diff, axis=-1) - lam * np.sum(diff * diff, axis=-1)
-    idx0 = np.repeat(np.arange(mu0.support_cardinality), mu0.multiplicities * (n // mu0.denominator))
-    idx1 = np.repeat(np.arange(mu1.support_cardinality), mu1.multiplicities * (n // mu1.denominator))
-    return g, idx0, idx1
-
-
-def _coupling_from_perm(mu0, mu1, idx0, idx1, perm):
-    mass = np.zeros((mu0.support_cardinality, mu1.support_cardinality), dtype=np.int64)
-    np.add.at(mass, (idx0, idx1[perm]), 1)
-    return Coupling(mu0, mu1, mass)
-
-
 def total_dissipativity_check(f, mu0, mu1, lam, mode="exhaustive", n_samples=None, seed=None):
     """Probe the dissipativity gap over whole families of couplings.
 
@@ -353,8 +303,11 @@ def total_dissipativity_check(f, mu0, mu1, lam, mode="exhaustive", n_samples=Non
     enumerates every permutation, sampled mode draws them at random from a
     seeded generator.  Passing means the worst gap stays below 1e-9.
     """
-    n = common_denominator(mu0, mu1)
-    g, idx0, idx1 = _pair_gap_matrix(f, mu0, mu1, lam, n)
+    xs, ys, idx0, idx1 = expand_pair(mu0, mu1)
+    n = xs.shape[0]
+    diff = xs[:, None, :] - ys[None, :, :]
+    vdiff = f.evaluate_batch(xs, mu0)[:, None, :] - f.evaluate_batch(ys, mu1)[None, :, :]
+    g = np.sum(vdiff * diff, axis=-1) - lam * np.sum(diff * diff, axis=-1)
     rows = np.arange(n)
 
     if mode == "exhaustive":
@@ -386,7 +339,7 @@ def total_dissipativity_check(f, mu0, mu1, lam, mode="exhaustive", n_samples=Non
     witness = None
     passes = worst <= 1e-9
     if not passes:
-        witness = _coupling_from_perm(mu0, mu1, idx0, idx1, worst_perm)
+        witness = Coupling.from_matching(mu0, mu1, idx0, idx1[worst_perm])
     return DissipativityReport(passes=passes, worst_gap=worst, witness=witness, n_checked=n_checked)
 
 
@@ -472,11 +425,8 @@ def field_from_json(data):
             _profile_from_json(params["interaction"]),
         )
     elif kind == "superposition":
-        comps = [
-            (float(c["weight"]), field_from_json(c["field"]))
-            for c in params["components"]
-        ]
-        f = barycentric_projection(SuperpositionField(comps))
+        comps = [(c["weight"], field_from_json(c["field"])) for c in params["components"]]
+        f = barycentric_projection(comps)
     else:
         raise FieldError(f"unknown field kind: {kind!r}")
     if "lambda" in data and data["lambda"] is not None:
@@ -502,7 +452,6 @@ __all__ = [
     "Functional",
     "FunctionalEval",
     "ScalarProfile",
-    "SuperpositionField",
     "VelocityField",
     "barycentric_field",
     "barycentric_projection",

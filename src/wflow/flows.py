@@ -18,12 +18,7 @@ import numpy as np
 
 from wflow.fields import Functional, VelocityField, eval_on_measure
 from wflow.measures import DiscreteMeasure, LagrangianVector, expand, iota_project
-from wflow.operators import (
-    LagrangianOperator,
-    _n_steps,
-    exponential_semigroup,
-    resolvent,
-)
+from wflow.operators import LagrangianOperator, exponential_semigroup, resolvent
 from wflow.transport import w2_exact
 
 
@@ -46,23 +41,34 @@ class ExponentialScheme:
     n: int
 
 
+def _scheme_number(data, key):
+    if key not in data:
+        raise FlowError(f"scheme.{key}: missing required entry")
+    try:
+        value = float(data[key])
+    except (TypeError, ValueError) as exc:
+        raise FlowError(f"scheme.{key}: {exc}") from exc
+    if not math.isfinite(value):
+        raise FlowError(f"scheme.{key}: must be finite, got {value}")
+    return value
+
+
 def scheme_from_json(data):
+    """Decode a scheme entry; errors name the offending field path."""
+    if not isinstance(data, dict):
+        raise FlowError("scheme: needs an object with a 'kind' entry")
     kind = data.get("kind")
     if kind == "implicit" or kind == "explicit":
-        if "tau" not in data:
-            raise FlowError(f"scheme kind {kind!r} needs a tau entry")
-        tau = float(data["tau"])
+        tau = _scheme_number(data, "tau")
         if tau <= 0.0:
-            raise FlowError(f"scheme tau must be positive, got {tau}")
+            raise FlowError(f"scheme.tau: must be positive, got {tau}")
         return ImplicitScheme(tau) if kind == "implicit" else ExplicitScheme(tau)
     if kind == "exponential":
-        if "n" not in data:
-            raise FlowError("scheme kind 'exponential' needs an n entry")
-        n = int(data["n"])
-        if n < 1:
-            raise FlowError(f"scheme n must be at least 1, got {n}")
-        return ExponentialScheme(n)
-    raise FlowError(f"unknown scheme kind {kind!r}")
+        n = _scheme_number(data, "n")
+        if n < 1 or n != int(n):
+            raise FlowError(f"scheme.n: must be a positive integer, got {data['n']!r}")
+        return ExponentialScheme(int(n))
+    raise FlowError(f"scheme.kind: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,14 @@ def _operator_for(driver):
     raise FlowError(f"cannot evolve driver of type {type(driver).__name__}")
 
 
-def _default_lift(mu):
-    return expand(mu, mu.denominator)
+def _n_steps(total_time, tau):
+    if not tau > 0.0:
+        raise FlowError(f"step size must be positive, got {tau}")
+    ratio = total_time / tau
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 1e-9 * max(1.0, abs(ratio)):
+        return int(nearest)
+    return int(math.ceil(ratio))
 
 
 def _record_schedule(record_times, tau, n_total):
@@ -133,7 +145,7 @@ def evolve(driver, mu0, scheme, T, record_times=None, merge_eps=0.0, lift=None, 
         raise FlowError(f"horizon must be nonnegative, got {T}")
     op = _operator_for(driver)
     field = op.field
-    x = lift if lift is not None else _default_lift(mu0)
+    x = lift if lift is not None else expand(mu0, mu0.denominator)
     if x.dim != mu0.dim:
         raise FlowError(f"lift dimension {x.dim} does not match measure dimension {mu0.dim}")
 
@@ -247,7 +259,7 @@ def contraction_check(driver, mu, nu, lam, t_grid, scheme, cfg=None):
 def jko_step(functional, mu, tau, cfg=None):
     """One minimizing-movement step: argmin W2^2/(2 tau) + energy."""
     op = LagrangianOperator.from_functional(functional)
-    out = resolvent(op, tau, _default_lift(mu), cfg)
+    out = resolvent(op, tau, expand(mu, mu.denominator), cfg)
     return iota_project(out, 0.0)
 
 
@@ -271,21 +283,14 @@ def implicit_error_study(driver, mu0, horizon, n_list, reference=None, cfg=None)
     the limit.
     """
     op = _operator_for(driver)
-    x0 = _default_lift(mu0)
+    x0 = expand(mu0, mu0.denominator)
     speed0 = eval_on_measure(op.field, mu0).l2_norm
     if reference is None:
         n_ref = max(1024, 8 * max(n_list))
-        xref = x0
-        tau_ref = horizon / n_ref
-        for _ in range(n_ref):
-            xref = resolvent(op, tau_ref, xref, cfg)
-        reference = iota_project(xref, 0.0)
+        reference = iota_project(exponential_semigroup(op, horizon, x0, n_ref, cfg), 0.0)
     rows = []
     for n in n_list:
-        tau = horizon / n
-        x = x0
-        for _ in range(n):
-            x = resolvent(op, tau, x, cfg)
+        x = exponential_semigroup(op, horizon, x0, n, cfg)
         err = w2_exact(iota_project(x, 0.0), reference).distance
         bound = 2.0 * horizon * speed0 / math.sqrt(n)
         rows.append(ErrorStudyRow(n=int(n), error=err, bound=bound, passes=err <= bound + 1e-12))

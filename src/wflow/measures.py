@@ -227,14 +227,32 @@ def iota_project(vector, merge_eps):
     return DiscreteMeasure(pts, np.ones(n, dtype=np.int64))
 
 
-def expand(mu, n):
-    """Lift a measure to ``n`` equal-mass particles in canonical atom order."""
+def _particle_atoms(mu, n):
+    # the expansion layout: atom i fills multiplicities[i] * (n / denominator)
+    # consecutive particle slots, atoms in canonical order
     if n % mu.denominator != 0:
         raise MeasureError(
             f"cannot expand denominator {mu.denominator} to {n} particles: not divisible"
         )
     reps = mu.multiplicities * (n // mu.denominator)
-    return LagrangianVector(np.repeat(mu.atoms, reps, axis=0))
+    return np.repeat(np.arange(mu.support_cardinality), reps)
+
+
+def expand(mu, n):
+    """Lift a measure to ``n`` equal-mass particles in canonical atom order."""
+    return LagrangianVector(mu.atoms[_particle_atoms(mu, n)])
+
+
+def expand_pair(mu, nu):
+    """Expand two measures to their common particle count.
+
+    Returns ``(xs, ys, src_atom, tgt_atom)``: the particle arrays and, for
+    every particle, the index of the atom it sits on.
+    """
+    n = common_denominator(mu, nu)
+    src_atom = _particle_atoms(mu, n)
+    tgt_atom = _particle_atoms(nu, n)
+    return mu.atoms[src_atom], nu.atoms[tgt_atom], src_atom, tgt_atom
 
 
 def common_denominator(mu, nu):
@@ -293,13 +311,12 @@ class Coupling:
     def identity(cls, mu):
         return cls(mu, mu, np.diag(mu.multiplicities))
 
-    @property
-    def source(self):
-        return self.mu
-
-    @property
-    def target(self):
-        return self.nu
+    @classmethod
+    def from_matching(cls, mu, nu, src_atom, tgt_atom):
+        """Plan of a particle matching: particle k moves atom src_atom[k] to tgt_atom[k]."""
+        mass = np.zeros((mu.support_cardinality, nu.support_cardinality), dtype=np.int64)
+        np.add.at(mass, (src_atom, tgt_atom), 1)
+        return cls(mu, nu, mass)
 
     def support_pairs(self):
         """Atom index pairs (i, j) carrying positive mass, lex order."""

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from wflow.measures import LagrangianVector, iota_project
@@ -447,39 +445,6 @@ def exponential_semigroup(op, t, x, n, cfg=None):
     return cur
 
 
-def _n_steps(total_time, tau):
-    if not tau > 0.0:
-        raise OperatorError(f"step size must be positive, got {tau}")
-    if total_time < 0.0:
-        raise OperatorError(f"horizon must be nonnegative, got {total_time}")
-    ratio = total_time / tau
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= 1e-9 * max(1.0, abs(ratio)):
-        return int(nearest)
-    return int(math.ceil(ratio))
-
-
-def explicit_trajectory(op, tau, total_time, x0):
-    """Forward steps X + tau * B(X); requires a Lipschitz bound to exist."""
-    if op.lip is None:
-        raise OperatorError("explicit stepping needs a Lipschitz bound on the field")
-    steps = _n_steps(total_time, tau)
-    traj = [LagrangianVector(x0.particles.copy())]
-    for _ in range(steps):
-        cur = traj[-1]
-        traj.append(LagrangianVector(cur.particles + tau * op.apply(cur).particles))
-    return traj
-
-
-def implicit_trajectory(op, tau, total_time, x0, cfg=None):
-    """Backward steps through the resolvent."""
-    steps = _n_steps(total_time, tau)
-    traj = [LagrangianVector(x0.particles.copy())]
-    for _ in range(steps):
-        traj.append(resolvent(op, tau, traj[-1], cfg))
-    return traj
-
-
 # ---------------------------------------------------------------------------
 # empirical dissipativity
 
@@ -514,9 +479,7 @@ __all__ = [
     "OperatorError",
     "SolverConfig",
     "experiment_pairs",
-    "explicit_trajectory",
     "exponential_semigroup",
-    "implicit_trajectory",
     "minimal_selection_estimate",
     "operator_dissipativity_check",
     "resolvent",

@@ -18,14 +18,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from wflow.measures import (
-    Coupling,
-    LagrangianVector,
-    common_denominator,
-    expand,
-    interpolate,
-    iota_project,
-)
+from wflow.measures import Coupling, expand_pair, interpolate
 
 BRUTEFORCE_CAP = 8
 BOTTLENECK_CAP = 64
@@ -71,12 +64,7 @@ class ChordAlignment:
 def _expansion(mu, nu):
     if mu.dim != nu.dim:
         raise TransportError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    n = common_denominator(mu, nu)
-    xs = expand(mu, n).particles
-    ys = expand(nu, n).particles
-    src_atom = np.repeat(np.arange(mu.support_cardinality), mu.multiplicities * (n // mu.denominator))
-    tgt_atom = np.repeat(np.arange(nu.support_cardinality), nu.multiplicities * (n // nu.denominator))
-    return n, xs, ys, src_atom, tgt_atom
+    return expand_pair(mu, nu)
 
 
 def _squared_distances(xs, ys):
@@ -94,7 +82,8 @@ def w2_exact(mu, nu):
     would have changed the atom-level plan, i.e. the optimizer had a
     genuine choice.
     """
-    n, xs, ys, src_atom, tgt_atom = _expansion(mu, nu)
+    xs, ys, src_atom, tgt_atom = _expansion(mu, nu)
+    n = xs.shape[0]
     d2 = _squared_distances(xs, ys)
     _, sigma = linear_sum_assignment(d2)
     sigma = sigma.copy()
@@ -115,23 +104,18 @@ def w2_exact(mu, nu):
             sigma[i], sigma[best_j] = sigma[best_j], sigma[i]
 
     cost = float(np.sum(d2[np.arange(n), sigma]) / n)
-    mass = np.zeros((mu.support_cardinality, nu.support_cardinality), dtype=np.int64)
-    np.add.at(mass, (src_atom, tgt_atom[sigma]), 1)
-    plan = Coupling(mu, nu, mass)
+    plan = Coupling.from_matching(mu, nu, src_atom, tgt_atom[sigma])
     return W2Result(distance=math.sqrt(max(cost, 0.0)), plan=plan, tie_detected=tie)
 
 
 def w2_bruteforce(mu, nu):
     """Distance by enumerating every matching; independent of the solver."""
-    if mu.dim != nu.dim:
-        raise TransportError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    n = common_denominator(mu, nu)
+    xs, ys, _, _ = _expansion(mu, nu)
+    n = xs.shape[0]
     if n > BRUTEFORCE_CAP:
         raise TransportError(
             f"brute force needs at most {BRUTEFORCE_CAP} particles, got {n}"
         )
-    xs = expand(mu, n).particles
-    ys = expand(nu, n).particles
     d2 = _squared_distances(xs, ys)
     best = math.inf
     for perm in itertools.permutations(range(n)):
@@ -162,7 +146,8 @@ def _has_perfect_matching(allowed):
 
 def w_infinity(mu, nu):
     """Bottleneck transport distance: minimal worst single-particle move."""
-    n, xs, ys, _, _ = _expansion(mu, nu)
+    xs, ys, _, _ = _expansion(mu, nu)
+    n = xs.shape[0]
     if n > BOTTLENECK_CAP:
         raise TransportError(
             f"bottleneck distance needs at most {BOTTLENECK_CAP} particles, got {n}"

@@ -288,14 +288,37 @@ def test_missing_file_exits_one(tmp_path, capsys):
 
 
 def test_invalid_tau_reports_field_path(tmp_path, capsys):
-    cfg = {
-        "experiment": "simulate",
-        "field": {"kind": "barycentric", "params": {"strength": 1.0, "drift": [0.0]}},
-        "measures": [measure_to_json(DiscreteMeasure.dirac([1.0]))],
-        "scheme": {"kind": "implicit", "tau": -0.5},
-        "params": {"T": 1.0},
-    }
-    cpath = tmp_path / "cfg.json"
-    write_json(cpath, cfg)
-    assert main(["simulate", str(cpath)]) == 1
-    assert "scheme.tau" in capsys.readouterr().err
+    # bad and non-finite numbers are rejected at the boundary, naming the field
+    implicit = {"kind": "implicit", "tau": 0.1}
+    meanfield = {"N_list": [2], "t": 0.1, "lambda": 0.0, "n_seeds": 1}
+    cases = [
+        ("simulate", {"scheme": {"kind": "implicit", "tau": -0.5}},
+         "scheme.tau: must be positive, got -0.5"),
+        ("simulate", {"scheme": {"kind": "implicit", "tau": math.nan}},
+         "scheme.tau: must be finite, got nan"),
+        ("simulate", {"scheme": {"kind": "explicit", "tau": math.inf}},
+         "scheme.tau: must be finite, got inf"),
+        ("simulate", {"scheme": {"kind": "exponential", "n": math.inf}},
+         "scheme.n: must be finite, got inf"),
+        ("simulate", {"scheme": {"kind": "exponential", "n": math.nan}},
+         "scheme.n: must be finite, got nan"),
+        ("simulate", {"scheme": implicit, "params": {"T": math.inf}},
+         "params.T: must be finite, got inf"),
+        ("simulate", {"scheme": implicit, "params": {"T": 1.0, "merge_eps": math.nan}},
+         "params.merge_eps: must be finite"),
+        ("meanfield", {"scheme": implicit, "params": meanfield, "seed": math.inf},
+         "seed: cannot convert float infinity"),
+    ]
+    for command, overrides, message in cases:
+        cfg = {
+            "experiment": command,
+            "field": {"kind": "barycentric", "params": {"strength": 1.0, "drift": [0.0]}},
+            "measures": [measure_to_json(DiscreteMeasure.dirac([1.0]))],
+            "params": {"T": 1.0},
+            **overrides,
+        }
+        cpath = tmp_path / "cfg.json"
+        write_json(cpath, cfg)
+        assert main([command, str(cpath), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert message in err, err

@@ -7,7 +7,6 @@ import pytest
 
 from wflow.fields import (
     FieldError,
-    SuperpositionField,
     VelocityField,
     barycentric_field,
     barycentric_projection,
@@ -73,6 +72,42 @@ def test_eval_quadratic_interaction_is_mean_attraction():
     f = pw_field(profile("zero"), profile("quadratic"))
     res = eval_on_measure(f, uniform([[0.0], [2.0]]))
     assert np.allclose(res.velocities, [[1.0], [-1.0]])
+
+
+BARYCENTRIC_JSON = {"kind": "barycentric", "params": {"strength": 1.5, "drift": [0.3, -0.2]}}
+PW_JSON = {
+    "kind": "pw",
+    "params": {"potential": {"kind": "quartic"}, "interaction": {"kind": "abs", "coeff": 0.5}},
+}
+SUPERPOSITION_JSON = {
+    "kind": "superposition",
+    "params": {
+        "components": [
+            {"weight": 0.25, "field": BARYCENTRIC_JSON},
+            {"weight": 0.75, "field": PW_JSON},
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "make_field",
+    [
+        lambda: linear_field(np.array([[0.5, -1.0], [2.0, -0.3]]), np.array([0.1, 0.7])),
+        lambda: barycentric_field(1.3, np.array([0.2, -0.1])),
+        lambda: pw_field(profile("quadratic", 0.7), profile("abs", 0.3)),
+        lambda: field_from_json(SUPERPOSITION_JSON),
+        lambda: lambda_transform(pw_field(profile("quartic"), profile("quadratic", 2.0)), 0.4),
+    ],
+    ids=["linear", "barycentric", "pw", "superposition", "lambda_transform"],
+)
+def test_evaluate_is_one_row_batch(make_field):
+    f = make_field()
+    rng = np.random.default_rng(12)
+    mu = DiscreteMeasure(rng.normal(size=(3, 2)), np.array([1, 2, 1]))
+    # include an atom so the abs kink is hit at zero separation
+    for x in list(rng.normal(size=(4, 2))) + [mu.atoms[1]]:
+        assert np.array_equal(f.evaluate(x, mu), f.evaluate_batch(x[None], mu)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +227,10 @@ def test_total_check_lipschitz_field_at_twice_lipschitz_lambda():
     L = 0.8
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    def ev(x, mu):
-        return L * (rot @ (x - mu.mean()))
+    def ev(pts, mu):
+        return L * ((pts - mu.mean()) @ rot.T)
 
-    f = VelocityField(eval_fn=ev, lambda_claim=2 * L)
+    f = VelocityField(batch_fn=ev, lambda_claim=2 * L)
     rng = np.random.default_rng(5)
     for _ in range(10):
         mu0 = DiscreteMeasure.from_points(rng.normal(size=(4, 2)))
@@ -249,7 +284,7 @@ def test_pw_subgradient_field_dissipative_at_zero():
 
 def test_projection_single_component_identity():
     f = neg_identity()
-    g = barycentric_projection(SuperpositionField([(1.0, f)]))
+    g = barycentric_projection([(1.0, f)])
     mu = uniform([[2.0]])
     assert np.allclose(g.evaluate(np.array([2.0]), mu), f.evaluate(np.array([2.0]), mu))
 
@@ -258,14 +293,14 @@ def test_projection_opposite_drifts_cancel():
     v = np.array([1.0, -2.0])
     up = linear_field(np.zeros((2, 2)), v)
     down = linear_field(np.zeros((2, 2)), -v)
-    g = barycentric_projection(SuperpositionField([(0.5, up), (0.5, down)]))
+    g = barycentric_projection([(0.5, up), (0.5, down)])
     mu = uniform([[0.0, 0.0]])
     assert np.allclose(g.evaluate(np.zeros(2), mu), np.zeros(2))
 
 
 def test_projection_averages_linear_slopes():
     comps = [(1.0 / 3.0, linear_field(th * np.eye(1), np.zeros(1))) for th in (1.0, 2.0, 3.0)]
-    g = barycentric_projection(SuperpositionField(comps))
+    g = barycentric_projection(comps)
     mu = uniform([[1.0]])
     assert np.allclose(g.evaluate(np.array([1.0]), mu), [2.0])
 
@@ -273,15 +308,15 @@ def test_projection_averages_linear_slopes():
 def test_superposition_weights_validated():
     f = neg_identity()
     with pytest.raises(FieldError):
-        SuperpositionField([(0.4, f), (0.4, f)])
+        barycentric_projection([(0.4, f), (0.4, f)])
     with pytest.raises(FieldError):
-        SuperpositionField([(-0.5, f), (1.5, f)])
+        barycentric_projection([(-0.5, f), (1.5, f)])
 
 
 def test_projection_preserves_dissipativity():
     rng = np.random.default_rng(8)
     comps = [(0.25, barycentric_field(0.5, np.zeros(2))), (0.75, neg_identity(2))]
-    g = barycentric_projection(SuperpositionField(comps))
+    g = barycentric_projection(comps)
     for _ in range(5):
         mu0 = random_measure(rng, 2, max_card=3)
         mu1 = random_measure(rng, 2, max_card=3)
@@ -365,10 +400,9 @@ def test_field_json_round_trip_barycentric_and_pw():
 
 
 def test_field_json_round_trip_superposition():
-    sup = SuperpositionField(
+    g = barycentric_projection(
         [(0.5, linear_field(np.eye(1), np.zeros(1))), (0.5, barycentric_field(2.0, np.zeros(1)))]
     )
-    g = barycentric_projection(sup)
     h = field_from_json(field_to_json(g))
     mu = uniform([[0.0], [4.0]])
     x = np.array([1.0])

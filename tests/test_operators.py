@@ -6,15 +6,14 @@ import pytest
 
 import oracles
 from wflow.fields import barycentric_field, linear_field, profile, pw_field, pw_functional
-from wflow.measures import LagrangianVector
+from wflow.flows import ExplicitScheme, FlowError, ImplicitScheme, evolve
+from wflow.measures import LagrangianVector, iota_project
 from wflow.operators import (
     LagrangianOperator,
     OperatorError,
     SolverConfig,
     experiment_pairs,
-    explicit_trajectory,
     exponential_semigroup,
-    implicit_trajectory,
     minimal_selection_estimate,
     operator_dissipativity_check,
     resolvent,
@@ -40,6 +39,12 @@ def zero_op(d=1):
 
 def abs_pair_op():
     return LagrangianOperator.from_functional(pw_functional(profile("zero"), profile("abs")))
+
+
+def trajectory(op, scheme, total_time, x0):
+    """Particle states of the flow of ``op`` started from the lift ``x0``."""
+    driver = op.functional if op.functional is not None else op.field
+    return evolve(driver, iota_project(x0, 0.0), scheme, T=total_time, lift=x0).lagrangian
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +232,37 @@ def test_exponential_semigroup_zero_field():
 
 
 def test_explicit_trajectory_linear():
-    traj = explicit_trajectory(neg_identity_op(), 0.1, 1.0, lag([[1.0]]))
+    traj = trajectory(neg_identity_op(), ExplicitScheme(0.1), 1.0, lag([[1.0]]))
     assert len(traj) == 11
     assert abs(traj[-1].particles[0, 0] - 0.9**10) < 1e-12
 
 
 def test_explicit_trajectory_requires_lipschitz_bound():
-    with pytest.raises(OperatorError):
-        explicit_trajectory(abs_pair_op(), 0.1, 1.0, lag([[-1.0], [1.0]]))
+    with pytest.raises(FlowError):
+        trajectory(abs_pair_op(), ExplicitScheme(0.1), 1.0, lag([[-1.0], [1.0]]))
 
 
 def test_explicit_trajectory_constant_drift():
     op = LagrangianOperator.from_velocity_field(linear_field(np.zeros((1, 1)), np.array([2.0])))
-    traj = explicit_trajectory(op, 0.1, 1.0, lag([[0.0]]))
+    traj = trajectory(op, ExplicitScheme(0.1), 1.0, lag([[0.0]]))
     assert abs(traj[-1].particles[0, 0] - 2.0) < 1e-12
 
 
 def test_implicit_trajectory_linear():
-    traj = implicit_trajectory(neg_identity_op(), 0.1, 1.0, lag([[1.0]]))
+    traj = trajectory(neg_identity_op(), ImplicitScheme(0.1), 1.0, lag([[1.0]]))
     assert len(traj) == 11
     assert abs(traj[-1].particles[0, 0] - oracles.implicit_linear_factor(0.1, 10)) < 1e-8
 
 
 def test_implicit_trajectory_zero_field_constant():
-    traj = implicit_trajectory(zero_op(), 0.25, 1.0, lag([[4.0]]))
+    traj = trajectory(zero_op(), ImplicitScheme(0.25), 1.0, lag([[4.0]]))
     for x in traj:
         assert np.allclose(x.particles, [[4.0]], atol=1e-12)
 
 
 def test_implicit_trajectory_sticky_pair_meets_near_two():
     tau = 1e-2
-    traj = implicit_trajectory(abs_pair_op(), tau, 3.0, lag([[-1.0], [1.0]]))
+    traj = trajectory(abs_pair_op(), ImplicitScheme(tau), 3.0, lag([[-1.0], [1.0]]))
     gaps = [float(x.particles[1, 0] - x.particles[0, 0]) for x in traj]
     want = oracles.sticky_gap_sequence(2.0, tau, len(traj) - 1)
     assert np.allclose(gaps, want, atol=1e-7)
@@ -268,9 +273,9 @@ def test_implicit_trajectory_sticky_pair_meets_near_two():
 
 def test_trajectory_step_count_rounding():
     # T/tau within float noise of an integer must not gain a step
-    traj = implicit_trajectory(zero_op(), 0.1, 1.0, lag([[0.0]]))
+    traj = trajectory(zero_op(), ImplicitScheme(0.1), 1.0, lag([[0.0]]))
     assert len(traj) == 11
-    traj = explicit_trajectory(zero_op(), 0.3, 1.0, lag([[0.0]]))
+    traj = trajectory(zero_op(), ExplicitScheme(0.3), 1.0, lag([[0.0]]))
     assert len(traj) == 5
 
 
@@ -325,7 +330,7 @@ def test_yosida_lipschitz_bound_sampled():
 def test_velocity_decay_along_implicit_trajectory():
     phi = pw_functional(profile("zero"), profile("quadratic"))
     op = LagrangianOperator.from_functional(phi)
-    traj = implicit_trajectory(op, 0.05, 2.0, lag([[0.0], [2.0]]))
+    traj = trajectory(op, ImplicitScheme(0.05), 2.0, lag([[0.0], [2.0]]))
     speeds = [op.apply(x).norm() for x in traj]
     for a, b in zip(speeds, speeds[1:]):
         assert b <= a + 1e-9

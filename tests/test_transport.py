@@ -268,7 +268,7 @@ def test_geodesic_crossing_coupling_breaks_at_half():
     gamma = crossing_coupling()
     # plan cost 4 exceeds the true squared distance 2, so one segment cannot work
     assert abs(gamma.cost() - 4.0) < 1e-15
-    assert abs(w2_exact(gamma.source, gamma.target).distance ** 2 - 2.0) < 1e-12
+    assert abs(w2_exact(gamma.mu, gamma.nu).distance ** 2 - 2.0) < 1e-12
     bps = geodesic_decompose(gamma, tol=1e-7)
     assert len(bps) >= 3
     assert abs(bps[1] - 0.5) < 1e-5
