@@ -69,6 +69,33 @@ class ScalarProfile:
         r2 = np.sum(z * z, axis=-1, keepdims=True)
         return self.coeff * r2 * z
 
+    def hess(self, z):
+        """Hessian (..., d, d) of the profile; zero at the abs kink, like ``grad``."""
+        z = np.asarray(z, dtype=float)
+        eye = np.eye(z.shape[-1])
+        outer = z[..., :, None] * z[..., None, :]
+        r2 = np.sum(z * z, axis=-1)[..., None, None]
+        if self.kind in ("zero", "quadratic"):
+            return self.grad_lipschitz * np.broadcast_to(eye, outer.shape)
+        if self.kind == "abs":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.where(r2 > 0.0, (eye - outer / r2) / np.sqrt(r2), 0.0)
+            return self.coeff * out
+        return self.coeff * (r2 * eye + 2.0 * outer)
+
+    def prox_1d(self, v, t):
+        """argmin_x (x - v)^2 / 2 + t * profile(x), elementwise on the line."""
+        v = np.asarray(v, dtype=float)
+        a = t * self.coeff
+        if self.kind == "zero" or a == 0.0:
+            return v.copy()
+        if self.kind == "quadratic":
+            return v / (1.0 + a)
+        if self.kind == "abs":
+            return np.sign(v) * np.maximum(np.abs(v) - a, 0.0)
+        # the one real root of x + a x^3 = v, in the cancellation-free sinh form
+        return 2.0 / math.sqrt(3.0 * a) * np.sinh(np.arcsinh(1.5 * v * math.sqrt(3.0 * a)) / 3.0)
+
     @property
     def convexity_modulus(self):
         return self.coeff if self.kind == "quadratic" else 0.0
@@ -86,17 +113,30 @@ def profile(kind, coeff=1.0):
     if kind not in _PROFILE_KINDS:
         raise FieldError(f"unknown profile kind: {kind!r} (expected one of {_PROFILE_KINDS})")
     coeff = float(coeff)
+    if not math.isfinite(coeff):
+        raise FieldError(f"profile coefficient must be finite, got {coeff}")
     if coeff < 0.0:
         raise FieldError("profile coefficient must be nonnegative to stay convex")
     return ScalarProfile(kind=kind, coeff=coeff)
 
 
-def _profile_from_json(data):
+def _finite(value, path):
+    """Decoded number or number array as floats; non-finite entries name their path."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FieldError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise FieldError(f"{path}: must be finite, got {value}")
+    return arr
+
+
+def _profile_from_json(data, path):
     try:
         kind = data["kind"]
     except (KeyError, TypeError) as exc:
         raise FieldError(f"profile payload missing field: {exc}") from exc
-    return profile(kind, float(data.get("coeff", 1.0)))
+    return profile(kind, float(_finite(data.get("coeff", 1.0), f"{path}.coeff")))
 
 
 def _profile_to_json(p):
@@ -349,14 +389,12 @@ def total_dissipativity_check(f, mu0, mu1, lam, mode="exhaustive", n_samples=Non
 
 @dataclass(frozen=True)
 class Functional:
-    """Energy on measures with its descent field and prox metadata."""
+    """Potential-plus-interaction energy on measures with its descent field."""
 
     phi: Callable
     subgradient_field: VelocityField
-    lambda_conv: float
-    prox_capable: bool
-    potential: Optional[ScalarProfile] = None
-    interaction: Optional[ScalarProfile] = None
+    potential: ScalarProfile
+    interaction: ScalarProfile
 
 
 def pw_functional(pot, inter):
@@ -377,8 +415,6 @@ def pw_functional(pot, inter):
     return Functional(
         phi=phi,
         subgradient_field=pw_field(pot, inter),
-        lambda_conv=pot.convexity_modulus,
-        prox_capable=True,
         potential=pot,
         interaction=inter,
     )
@@ -416,21 +452,24 @@ def field_from_json(data):
         raise FieldError(f"field payload missing field: {exc}") from exc
     params = data.get("params", {})
     if kind == "linear":
-        f = linear_field(np.array(params["matrix"], dtype=float), np.array(params["offset"], dtype=float))
+        f = linear_field(*(_finite(params[k], f"params.{k}") for k in ("matrix", "offset")))
     elif kind == "barycentric":
-        f = barycentric_field(float(params["strength"]), np.array(params["drift"], dtype=float))
+        f = barycentric_field(*(_finite(params[k], f"params.{k}") for k in ("strength", "drift")))
     elif kind == "pw":
         f = pw_field(
-            _profile_from_json(params["potential"]),
-            _profile_from_json(params["interaction"]),
+            _profile_from_json(params["potential"], "params.potential"),
+            _profile_from_json(params["interaction"], "params.interaction"),
         )
     elif kind == "superposition":
-        comps = [(c["weight"], field_from_json(c["field"])) for c in params["components"]]
+        comps = [
+            (float(_finite(c["weight"], f"params.components[{k}].weight")), field_from_json(c["field"]))
+            for k, c in enumerate(params["components"])
+        ]
         f = barycentric_projection(comps)
     else:
         raise FieldError(f"unknown field kind: {kind!r}")
     if "lambda" in data and data["lambda"] is not None:
-        f = dataclasses.replace(f, lambda_claim=float(data["lambda"]))
+        f = dataclasses.replace(f, lambda_claim=float(_finite(data["lambda"], "lambda")))
     return f
 
 
@@ -440,8 +479,8 @@ def functional_from_json(data):
         raise FieldError(f"only 'pw' functionals can be built from json, got {kind!r}")
     params = data.get("params", {})
     return pw_functional(
-        _profile_from_json(params["potential"]),
-        _profile_from_json(params["interaction"]),
+        _profile_from_json(params["potential"], "params.potential"),
+        _profile_from_json(params["interaction"], "params.interaction"),
     )
 
 

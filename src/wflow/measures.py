@@ -398,7 +398,10 @@ def measure_from_json(data):
         if x is None or len(x) != dim:
             raise MeasureError(f"atoms[{k}].x must have length {dim}")
         atoms.append([float(v) for v in x])
-        mults.append(int(entry.get("mult", 0)))
+        try:
+            mults.append(int(entry.get("mult", 0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeasureError(f"atoms[{k}].mult: {exc}") from exc
     mu = DiscreteMeasure(np.array(atoms), np.array(mults))
     if mu.denominator != denominator:
         raise MeasureError(

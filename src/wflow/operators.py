@@ -1,12 +1,13 @@
 """Particle-lift operators: resolvents, Yosida quotients, and power schemes.
 
 The operator wraps a velocity law into a map on particle lists.  Its
-resolvent solves the implicit step X - tau * B(X) = Y by one of three
-backends: contraction fixed point when a Lipschitz bound allows it, a
-structured proximal solve for potential-plus-interaction energies (exact
-soft-threshold behaviour at interaction kinks, including particle
-collisions), and a damped Newton iteration on the residual as the general
-fallback.
+resolvent solves the implicit step X - tau * B(X) = Y on one of three paths,
+chosen from the operator alone: contraction fixed point when a Lipschitz
+bound allows it, the proximal solve of the energy when the law descends a
+potential-plus-interaction energy (exact pooling for 1-D ``abs``
+interaction, a certified cluster Newton otherwise), and a damped Newton
+iteration on the residual for any other law.  Every path either meets the
+configured tolerance or raises ``OperatorError``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from wflow.fields import functional_from_json
 from wflow.measures import LagrangianVector, iota_project
-
-_SOLVER_NAMES = ("auto", "fixed_point", "prox", "newton")
 
 
 class OperatorError(ValueError):
@@ -28,20 +28,12 @@ class OperatorError(ValueError):
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 100000
-    solver: str = "auto"
 
-
-def solver_config_from_json(data):
-    tol = float(data.get("tol", 1e-10))
-    max_iter = int(data.get("max_iter", 100000))
-    solver = data.get("solver", "auto")
-    if tol <= 0.0:
-        raise OperatorError(f"solver tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise OperatorError(f"solver max_iter must be at least 1, got {max_iter}")
-    if solver not in _SOLVER_NAMES:
-        raise OperatorError(f"unknown solver {solver!r} (expected one of {_SOLVER_NAMES})")
-    return SolverConfig(tol=tol, max_iter=max_iter, solver=solver)
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise OperatorError(f"solver tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise OperatorError(f"solver max_iter must be at least 1, got {self.max_iter}")
 
 
 def _wnorm(arr):
@@ -55,6 +47,7 @@ class LagrangianOperator:
 
     ``apply`` evaluates the law at every particle against the measure the
     particles carry, so it is exactly equivariant under reordering.
+    ``functional`` is the energy the law descends, when there is one.
     """
 
     def __init__(self, field, functional=None):
@@ -63,7 +56,10 @@ class LagrangianOperator:
 
     @classmethod
     def from_velocity_field(cls, field):
-        return cls(field, None)
+        # a pw field descends its energy; the field itself is kept, since its
+        # dissipativity claim may have been overridden
+        meta = field.meta or {}
+        return cls(field, functional_from_json(meta) if meta.get("kind") == "pw" else None)
 
     @classmethod
     def from_functional(cls, functional):
@@ -112,122 +108,137 @@ def _solve_fixed_point(op, tau, y, cfg):
 
 
 # ---------------------------------------------------------------------------
-# newton backend
+# damped newton, shared by the cluster solve and the residual solve
+
+
+def _damped_newton(x, residual, jacobian, error, tol, max_iter):
+    """Newton on residual(x) = 0 with backtracking on ``error(residual)``.
+
+    ``error`` bounds the distance to the root implied by a residual.
+    Returns (x, converged); a failed line search is reported, not raised.
+    """
+    r = residual(x)
+    err = error(r)
+    for _ in range(max_iter):
+        if err <= tol:
+            return x, True
+        jac = jacobian(x, r)
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        alpha = 1.0
+        while True:
+            cand = x + alpha * step
+            rc = residual(cand)
+            ec = error(rc)
+            if ec < (1.0 - 1e-4 * alpha) * err:
+                x, r, err = cand, rc, ec
+                break
+            alpha *= 0.5
+            if alpha <= 1e-12:
+                return x, False
+    return x, err <= tol
 
 
 def _solve_newton(op, tau, y, cfg):
     n, d = y.particles.shape
-    m = n * d
     yflat = y.particles.ravel()
 
     def residual(xflat):
         vec = LagrangianVector(xflat.reshape(n, d))
         return xflat - tau * op.apply(vec).particles.ravel() - yflat
 
-    x = yflat.copy()
-    r = residual(x)
-    for _ in range(min(cfg.max_iter, 100)):
-        rnorm = _wnorm(r.reshape(n, d))
-        if rnorm <= cfg.tol:
-            return LagrangianVector(x.reshape(n, d))
-        jac = np.empty((m, m))
-        for j in range(m):
+    def jacobian(x, r):
+        # these laws carry no derivative: forward differences, one column each
+        jac = np.empty((x.size, x.size))
+        for j in range(x.size):
             h = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
             jac[:, j] = (residual(xp) - r) / h
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        alpha = 1.0
-        improved = False
-        while alpha > 1e-12:
-            cand = x + alpha * step
-            rc = residual(cand)
-            if _wnorm(rc.reshape(n, d)) < (1.0 - 1e-4 * alpha) * rnorm:
-                x, r = cand, rc
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-    if _wnorm(r.reshape(n, d)) <= math.sqrt(cfg.tol):
-        return LagrangianVector(x.reshape(n, d))
-    raise OperatorError("newton resolvent iteration did not converge")
+        return jac
+
+    def error(r):
+        return _wnorm(r.reshape(n, d))
+
+    x, converged = _damped_newton(
+        yflat.copy(), residual, jacobian, error, cfg.tol, min(cfg.max_iter, 100)
+    )
+    if not converged:
+        raise OperatorError("newton resolvent iteration did not converge")
+    return LagrangianVector(x.reshape(n, d))
 
 
 # ---------------------------------------------------------------------------
 # proximal backend for potential + interaction energies
 
 
-def _reduced_value(z, sizes, ysums, ysq, tau, n, pot, inter):
-    quad = np.sum(sizes * np.sum(z * z, axis=1)) - 2.0 * np.sum(z * ysums) + ysq
-    val = quad / (2.0 * tau * n)
-    val += float(sizes @ pot.value(z)) / n
-    k = z.shape[0]
-    if k > 1:
-        diffs = z[:, None, :] - z[None, :, :]
-        w = np.outer(sizes, sizes)
-        val += 0.5 * float(np.sum(w * inter.value(diffs))) / (n * n)
-    return val
+def _prox_abs_1d(ypts, tau, pot, coeff):
+    """Exact 1-D prox with |x| interaction: sort, shift, pool adjacent violators.
+
+    The minimiser keeps the order of the data, and on sorted particles the
+    interaction is linear, (coeff / n^2) sum (2i - n - 1) x_i, so the shifted
+    data z is pooled into nondecreasing blocks and each block moves by the
+    potential's prox (sticky particles, Brenier & Grenier 1998).
+    """
+    n = ypts.shape[0]
+    order = np.argsort(ypts[:, 0], kind="stable")
+    z = ypts[order, 0] - tau * coeff * (2.0 * np.arange(1, n + 1) - n - 1.0) / n
+    sums, sizes = [], []
+    for v in z:
+        sums.append(v)
+        sizes.append(1)
+        while len(sums) > 1 and sums[-2] * sizes[-1] > sums[-1] * sizes[-2]:
+            tail, count = sums.pop(), sizes.pop()
+            sums[-1] += tail
+            sizes[-1] += count
+    blocks = pot.prox_1d(np.array(sums) / np.array(sizes), tau)
+    out = np.empty_like(ypts)
+    out[order, 0] = np.repeat(blocks, sizes)
+    return LagrangianVector(out)
 
 
 def _reduced_grad(z, sizes, ysums, tau, n, pot, inter):
     g = (sizes[:, None] * z - ysums) / (tau * n)
     g = g + (sizes[:, None] / n) * pot.grad(z)
-    k = z.shape[0]
-    if k > 1:
-        diffs = z[:, None, :] - z[None, :, :]
-        gw = inter.grad(diffs)
-        w = np.outer(sizes, sizes) / (n * n)
-        g = g + np.einsum("ij,ijc->ic", w, gw)
-    return g
+    gw = inter.grad(z[:, None, :] - z[None, :, :])
+    w = np.outer(sizes, sizes) / (n * n)
+    return g + np.einsum("ij,ijc->ic", w, gw)
 
 
-def _newton_on_clusters(z0, sizes, ysums, ysq, tau, n, pot, inter, cfg):
-    """Damped Newton on the cluster-reduced smooth objective.
-
-    Returns (positions, converged).  Line-search failure is reported, not
-    raised: near an interaction kink the caller merges clusters and
-    retries.
-    """
-    z = z0.copy()
+def _reduced_hess(z, sizes, tau, n, pot, inter):
     k, d = z.shape
-    m = k * d
-    for _ in range(200):
-        g = _reduced_grad(z, sizes, ysums, tau, n, pot, inter)
+    w = np.outer(sizes, sizes) / (n * n)
+    hw = w[:, :, None, None] * inter.hess(z[:, None, :] - z[None, :, :])
+    diag = (sizes[:, None, None] / n) * (np.eye(d) / tau + pot.hess(z)) + hw.sum(axis=1)
+    h = -hw
+    h[np.arange(k), np.arange(k)] += diag
+    return h.transpose(0, 2, 1, 3).reshape(k * d, k * d)
+
+
+def _newton_on_clusters(z0, sizes, ysums, tau, n, pot, inter, cfg):
+    """Damped Newton on the cluster-reduced smooth objective, analytic Hessian.
+
+    Returns (positions, converged).  Near an interaction kink the caller
+    merges clusters and retries.
+    """
+    k, d = z0.shape
+
+    def residual(zflat):
+        return _reduced_grad(zflat.reshape(k, d), sizes, ysums, tau, n, pot, inter).ravel()
+
+    def hessian(zflat, g):
+        return _reduced_hess(zflat.reshape(k, d), sizes, tau, n, pot, inter)
+
+    def error(g):
         # implied position error under the strong convexity of the step term
-        err = np.max(np.linalg.norm(g, axis=1) * (tau * n) / sizes)
-        if err <= 1e-2 * cfg.tol:
-            return z, True
-        hess = np.empty((m, m))
-        gflat = g.ravel()
-        scale = 1e-7 * (1.0 + float(np.max(np.abs(z))))
-        for j in range(m):
-            zp = z.ravel().copy()
-            zp[j] += scale
-            gp = _reduced_grad(zp.reshape(k, d), sizes, ysums, tau, n, pot, inter)
-            hess[:, j] = (gp.ravel() - gflat) / scale
-        hess = 0.5 * (hess + hess.T)
-        try:
-            step = np.linalg.solve(hess, -gflat)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -gflat, rcond=None)[0]
-        base = _reduced_value(z, sizes, ysums, ysq, tau, n, pot, inter)
-        slope = float(gflat @ step)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-12:
-            cand = z + alpha * step.reshape(k, d)
-            if _reduced_value(cand, sizes, ysums, ysq, tau, n, pot, inter) <= base + 1e-4 * alpha * slope:
-                z = cand
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            return z, False
-    return z, False
+        return float(np.max(np.linalg.norm(g.reshape(k, d), axis=1) * (tau * n) / sizes))
+
+    z, converged = _damped_newton(
+        z0.ravel(), residual, hessian, error, 1e-2 * cfg.tol, min(cfg.max_iter, 200)
+    )
+    return z.reshape(k, d), converged
 
 
 def _merge_candidate(z, sizes, ysums, inter):
@@ -247,13 +258,11 @@ def _merge_candidate(z, sizes, ysums, inter):
         for b in range(a + 1, k):
             gap = float(np.linalg.norm(z[a] - z[b]))
             ygap = ymeans[a] - ymeans[b]
-            reversed_dir = float(np.dot(z[a] - z[b], ygap)) < 0.0 and float(
-                np.linalg.norm(ygap)
-            ) > 0.0
-            if gap <= 1e-8 * (1.0 + float(np.max(np.abs(z)))) or reversed_dir:
-                if gap < best_score:
-                    best_score = gap
-                    best = (a, b)
+            reversed_dir = float(np.dot(z[a] - z[b], ygap)) < 0.0
+            touching = gap <= 1e-8 * (1.0 + float(np.max(np.abs(z))))
+            if (touching or reversed_dir) and gap < best_score:
+                best_score = gap
+                best = (a, b)
     return best
 
 
@@ -273,96 +282,44 @@ def _certify_clusters(z, members, sizes, ypts, tau, n, pot, inter):
         if g < 2:
             continue
         p = z[c]
-        outside = (np.sum(sizes) - sizes[c]) > 0
-        conv = np.zeros_like(p)
-        if outside:
-            for c2 in range(z.shape[0]):
-                if c2 != c:
-                    conv = conv + sizes[c2] * inter.grad(p - z[c2])
-        needs = []
-        for idx in mem:
-            r = (p - ypts[idx]) / (tau * n) + pot.grad(p) / n + conv / (n * n)
-            needs.append(-(n * n) * r)
-        needs = np.asarray(needs)
-        for a in range(g):
-            for b in range(a + 1, g):
-                s_ab = (needs[a] - needs[b]) / g
-                if float(np.linalg.norm(s_ab)) > w * (1.0 + 1e-8) + 1e-10:
-                    return False
+        others = [c2 for c2 in range(len(members)) if c2 != c]
+        conv = sizes[others] @ inter.grad(p - z[others])
+        needs = -(n * n) * ((p - ypts[mem]) / (tau * n) + pot.grad(p) / n + conv / (n * n))
+        s_ab = (needs[:, None, :] - needs[None, :, :]) / g
+        if float(np.max(np.linalg.norm(s_ab, axis=-1))) > w * (1.0 + 1e-8) + 1e-10:
+            return False
     return True
 
 
-def _full_subgradient(x, ypts, tau, n, pot, inter):
-    g = (x - ypts) / (tau * n)
-    g = g + pot.grad(x) / n
-    diffs = x[:, None, :] - x[None, :, :]
-    g = g + np.sum(inter.grad(diffs), axis=1) / (n * n)
-    return g
-
-
-def _full_value(x, ypts, tau, n, pot, inter):
-    val = float(np.sum((x - ypts) ** 2)) / (2.0 * tau * n)
-    val += float(np.sum(pot.value(x))) / n
-    diffs = x[:, None, :] - x[None, :, :]
-    val += 0.5 * float(np.sum(inter.value(diffs))) / (n * n)
-    return val
-
-
-def _fallback_descent(x0, ypts, tau, n, pot, inter, cfg):
-    # diminishing-step subgradient descent: slow but safe when the merged
-    # cluster certificate is inconclusive
-    x = x0.copy()
-    best = x.copy()
-    fbest = _full_value(x, ypts, tau, n, pot, inter)
-    stride = 0.1 * (1.0 + float(np.max(np.abs(ypts))))
-    for k in range(1, min(cfg.max_iter, 20000) + 1):
-        g = _full_subgradient(x, ypts, tau, n, pot, inter)
-        gn = _wnorm(g)
-        if gn <= 1e-15:
-            break
-        x = x - (stride / math.sqrt(k)) * g / gn
-        f = _full_value(x, ypts, tau, n, pot, inter)
-        if f < fbest:
-            fbest = f
-            best = x.copy()
-    return LagrangianVector(best)
-
-
-def _solve_prox(op, tau, y, cfg):
-    functional = op.functional
-    if functional is None or not functional.prox_capable:
-        raise OperatorError("prox solver needs a proximally solvable energy")
+def _solve_prox(functional, tau, y, cfg):
     pot = functional.potential
     inter = functional.interaction
     ypts = y.particles
     n, d = ypts.shape
+    if d == 1 and inter.kind == "abs":
+        return _prox_abs_1d(ypts, tau, pot, inter.coeff)
 
     members = [[i] for i in range(n)]
     z = ypts.copy()
     while True:
         sizes = np.array([len(m) for m in members], dtype=float)
         ysums = np.array([ypts[m].sum(axis=0) for m in members])
-        ysq = float(np.sum(ypts * ypts))
-        z, converged = _newton_on_clusters(z, sizes, ysums, ysq, tau, n, pot, inter, cfg)
+        z, converged = _newton_on_clusters(z, sizes, ysums, tau, n, pot, inter, cfg)
         cand = _merge_candidate(z, sizes, ysums, inter)
-        if cand is not None and len(members) > 1:
+        if cand is not None:
             a, b = cand
-            merged = sorted(members[a] + members[b])
-            keep = [members[i] for i in range(len(members)) if i not in (a, b)]
-            members = keep + [merged]
-            znew = [z[i] for i in range(len(z)) if i not in (a, b)]
-            pooled = ypts[merged].mean(axis=0)
-            z = np.vstack(znew + [pooled]) if znew else pooled.reshape(1, d)
+            keep = [i for i in range(len(members)) if i not in (a, b)]
+            members = [members[i] for i in keep] + [sorted(members[a] + members[b])]
+            z = np.vstack([z[keep], ypts[members[-1]].mean(axis=0)])
             continue
-        if converged and _certify_clusters(z, members, sizes, ypts, tau, n, pot, inter):
-            out = np.empty_like(ypts)
-            for c, mem in enumerate(members):
-                out[mem] = z[c]
-            return LagrangianVector(out)
-        start = np.empty_like(ypts)
+        if not converged:
+            raise OperatorError("prox resolvent: cluster newton did not converge")
+        if not _certify_clusters(z, members, sizes, ypts, tau, n, pot, inter):
+            raise OperatorError("prox resolvent: merged clusters could not be certified optimal")
+        out = np.empty_like(ypts)
         for c, mem in enumerate(members):
-            start[mem] = z[c]
-        return _fallback_descent(start, ypts, tau, n, pot, inter, cfg)
+            out[mem] = z[c]
+        return LagrangianVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +327,18 @@ def _solve_prox(op, tau, y, cfg):
 
 
 def resolvent(op, tau, y, cfg=None):
-    """Solve X - tau * B(X) = Y.
+    """Solve X - tau * B(X) = Y to the configured tolerance, or raise.
 
-    Backend order under "auto": contraction fixed point when the Lipschitz
-    budget allows, the structured proximal solve when the operator descends
-    an energy, damped Newton otherwise.
+    Contraction fixed point when the Lipschitz budget allows, the proximal
+    solve when the operator descends an energy, damped Newton on the
+    residual otherwise.
     """
     cfg = cfg or SolverConfig()
-    if cfg.solver not in _SOLVER_NAMES:
-        raise OperatorError(f"unknown solver {cfg.solver!r} (expected one of {_SOLVER_NAMES})")
     _validate_tau(op, tau)
-
-    if cfg.solver == "fixed_point":
-        if op.lip is None or tau * op.lip >= 1.0:
-            raise OperatorError("fixed-point solver needs tau * Lipschitz < 1")
-        return _solve_fixed_point(op, tau, y, cfg)
-    if cfg.solver == "prox":
-        return _solve_prox(op, tau, y, cfg)
-    if cfg.solver == "newton":
-        return _solve_newton(op, tau, y, cfg)
-
     if op.lip is not None and tau * op.lip < 1.0:
         return _solve_fixed_point(op, tau, y, cfg)
-    if op.functional is not None and op.functional.prox_capable:
-        return _solve_prox(op, tau, y, cfg)
+    if op.functional is not None:
+        return _solve_prox(op.functional, tau, y, cfg)
     return _solve_newton(op, tau, y, cfg)
 
 
@@ -483,6 +428,5 @@ __all__ = [
     "minimal_selection_estimate",
     "operator_dissipativity_check",
     "resolvent",
-    "solver_config_from_json",
     "yosida",
 ]

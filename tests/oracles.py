@@ -132,6 +132,28 @@ def sticky_gap_sequence(g0, tau, n_steps):
     return out
 
 
+def pooled_abs_prox_1d(ys, tau, coeff=1.0, quad=0.0):
+    """Prox of the 1-D energy with |x| interaction (weight coeff) and an
+    optional quadratic potential (quad/2) x^2, from the min-max formula.
+
+    In data order the interaction is linear, so each sorted particle wants
+    z_i = y_(i) - tau coeff (2i - n - 1) / n; the order constraint makes
+    x_i = max_{j <= i} min_{k >= i} mean(z_j..z_k), and the potential then
+    scales every value by 1 / (1 + tau quad).  Returned in input order.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n = ys.size
+    order = sorted(range(n), key=lambda i: ys[i])
+    z = [ys[order[i]] - tau * coeff * (2 * (i + 1) - n - 1) / n for i in range(n)]
+    out = np.empty(n)
+    for i in range(n):
+        best = -math.inf
+        for j in range(i + 1):
+            best = max(best, min(sum(z[j : k + 1]) / (k + 1 - j) for k in range(i, n)))
+        out[order[i]] = best / (1.0 + tau * quad)
+    return out
+
+
 def implicit_linear_factor(tau, k):
     """k implicit steps of dx/dt = -x scale the state by (1+tau)^-k."""
     return (1.0 + tau) ** (-k)

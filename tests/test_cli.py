@@ -68,27 +68,31 @@ def test_decompose_subcommand(tmp_path, capsys):
 
 
 def test_simulate_sticky_pair(tmp_path):
-    cfg = {
-        "experiment": "simulate",
-        "functional": {
-            "kind": "pw",
-            "params": {
-                "potential": {"kind": "zero", "coeff": 0.0},
-                "interaction": {"kind": "abs", "coeff": 1.0},
-            },
+    # the same energy given as a functional or as its pw descent field
+    energy = {
+        "kind": "pw",
+        "params": {
+            "potential": {"kind": "zero", "coeff": 0.0},
+            "interaction": {"kind": "abs", "coeff": 1.0},
         },
-        "measures": [measure_to_json(DiscreteMeasure.from_points(np.array([[-1.0], [1.0]])))],
-        "scheme": {"kind": "implicit", "tau": 0.01},
-        "params": {"T": 3.0, "merge_eps": 1e-6},
     }
-    cpath = tmp_path / "cfg.json"
-    write_json(cpath, cfg)
-    assert main(["simulate", str(cpath), "--out", str(tmp_path)]) == 0
-    diag = json.loads((tmp_path / "diagnostics.json").read_text(encoding="utf-8"))
-    drop = next(d["t"] for d in diag if d["support_cardinality"] == 1)
-    assert abs(drop - 2.0) <= 0.01 + 1e-9
-    traj = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
-    assert traj[0] == "t,particle_index,x_1"
+    for key in ("functional", "field"):
+        cfg = {
+            "experiment": "simulate",
+            key: energy,
+            "measures": [measure_to_json(DiscreteMeasure.from_points(np.array([[-1.0], [1.0]])))],
+            "scheme": {"kind": "implicit", "tau": 0.01},
+            "params": {"T": 3.0, "merge_eps": 1e-6},
+        }
+        cpath = tmp_path / "cfg.json"
+        out = tmp_path / key
+        write_json(cpath, cfg)
+        assert main(["simulate", str(cpath), "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+        drop = next(d["t"] for d in diag if d["support_cardinality"] == 1)
+        assert abs(drop - 2.0) <= 0.01 + 1e-9
+        traj = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        assert traj[0] == "t,particle_index,x_1"
 
 
 def test_simulate_artifacts_reproducible(tmp_path):
@@ -308,6 +312,16 @@ def test_invalid_tau_reports_field_path(tmp_path, capsys):
          "params.merge_eps: must be finite"),
         ("meanfield", {"scheme": implicit, "params": meanfield, "seed": math.inf},
          "seed: cannot convert float infinity"),
+        ("simulate", {"scheme": implicit, "field": {"kind": "barycentric",
+                      "params": {"strength": math.inf, "drift": [0.0]}}},
+         "params.strength: must be finite, got inf"),
+        ("simulate", {"scheme": implicit, "measures": [{"dim": 1, "denominator": 1,
+                      "atoms": [{"x": [0.0], "mult": math.inf}]}]},
+         "atoms[0].mult: cannot convert float infinity"),
+        ("simulate", {"scheme": implicit, "field": {"kind": "pw", "params": {
+                      "potential": {"kind": "quadratic", "coeff": math.nan},
+                      "interaction": {"kind": "zero"}}}},
+         "params.potential.coeff: must be finite, got nan"),
     ]
     for command, overrides, message in cases:
         cfg = {

@@ -49,6 +49,20 @@ def pos_identity(d=1):
 # evaluation
 
 
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "abs", "quartic"])
+def test_profile_hessian_matches_differenced_gradient(kind):
+    p = profile(kind, 1.7)
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        z = rng.normal(size=(4, d))
+        h = 1e-6
+        cols = [(p.grad(z + h * e) - p.grad(z - h * e)) / (2.0 * h) for e in np.eye(d)]
+        assert np.allclose(p.hess(z), np.stack(cols, axis=-1), rtol=0.0, atol=1e-7)
+    if kind == "abs":
+        # zero at the kink, the same selection as the gradient
+        assert np.array_equal(p.hess(np.zeros((1, 2))), np.zeros((1, 2, 2)))
+
+
 def test_eval_linear_field_on_measure():
     res = eval_on_measure(neg_identity(), uniform([[1.0], [3.0]]))
     assert np.allclose(res.velocities, [[-1.0], [-3.0]])
@@ -369,8 +383,8 @@ def iota_project_from(pts):
 
 def test_functional_metadata():
     phi = pw_functional(profile("quadratic", 2.0), profile("abs"))
-    assert phi.prox_capable
-    assert abs(phi.lambda_conv - 2.0) < 1e-15
+    assert phi.potential == profile("quadratic", 2.0) and phi.interaction == profile("abs")
+    assert abs(phi.potential.convexity_modulus - 2.0) < 1e-15
     assert abs(phi.subgradient_field.lambda_claim + 2.0) < 1e-15
 
 

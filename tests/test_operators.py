@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from wflow import operators
 from wflow.fields import barycentric_field, linear_field, profile, pw_field, pw_functional
 from wflow.flows import ExplicitScheme, FlowError, ImplicitScheme, evolve
 from wflow.measures import LagrangianVector, iota_project
@@ -17,7 +18,6 @@ from wflow.operators import (
     minimal_selection_estimate,
     operator_dissipativity_check,
     resolvent,
-    solver_config_from_json,
     yosida,
 )
 
@@ -137,25 +137,110 @@ def test_resolvent_permutation_equivariance():
 
 
 def test_solver_config_json():
-    cfg = solver_config_from_json({"tol": 1e-8, "max_iter": 500, "solver": "newton"})
-    assert cfg.tol == 1e-8 and cfg.max_iter == 500 and cfg.solver == "newton"
-    with pytest.raises(OperatorError):
-        solver_config_from_json({"solver": "sorcery"})
+    cfg = SolverConfig(tol=1e-8, max_iter=500)
+    assert cfg.tol == 1e-8 and cfg.max_iter == 500
+    for bad in ({"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
+        with pytest.raises(OperatorError):
+            SolverConfig(**bad)
 
 
-def test_forced_solver_paths_agree():
-    # one smooth problem solved by all three backends
+def test_forced_solver_paths_agree(monkeypatch):
+    # one smooth problem solved on all three paths, each picked by the operator
+    taken = []
+
+    def spy(name):
+        solve = getattr(operators, name)
+        return lambda *args: taken.append(name) or solve(*args)
+
+    for name in ("_solve_fixed_point", "_solve_prox", "_solve_newton"):
+        monkeypatch.setattr(operators, name, spy(name))
     f = barycentric_field(1.0, np.zeros(2))
-    phi_like = LagrangianOperator.from_velocity_field(f)
     y = LagrangianVector(np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]]))
-    want = resolvent(phi_like, 0.25, y, SolverConfig(solver="fixed_point"))
-    got_newton = resolvent(phi_like, 0.25, y, SolverConfig(solver="newton"))
+    want = resolvent(LagrangianOperator.from_velocity_field(f), 0.25, y)
+    # without a Lipschitz bound and without an energy only the residual newton applies
+    no_bound = LagrangianOperator.from_velocity_field(dataclasses.replace(f, lip=None))
+    got_newton = resolvent(no_bound, 0.25, y)
     assert np.allclose(want.particles, got_newton.particles, atol=1e-8)
-    phi = pw_functional(profile("zero"), profile("quadratic"))
-    op = LagrangianOperator.from_functional(phi)
-    got_prox = resolvent(op, 0.25, y, SolverConfig(solver="prox"))
     # same interaction dynamics as the barycentric field with unit strength
+    phi = pw_functional(profile("zero"), profile("quadratic"))
+    op = LagrangianOperator(dataclasses.replace(phi.subgradient_field, lip=None), phi)
+    got_prox = resolvent(op, 0.25, y)
     assert np.allclose(want.particles, got_prox.particles, atol=1e-8)
+    assert taken == ["_solve_fixed_point", "_solve_newton", "_solve_prox"]
+
+
+def test_residual_newton_stiff_barycentric_closed_form():
+    # tau * strength = 2.5: no contraction, no energy, so the residual newton runs
+    s, tau = 50.0, 0.05
+    op = LagrangianOperator.from_velocity_field(barycentric_field(s, np.zeros(2)))
+    y = np.random.default_rng(7).normal(size=(5, 2))
+    x = resolvent(op, tau, LagrangianVector(y))
+    want = (y + tau * s * y.mean(axis=0)) / (1.0 + tau * s)
+    assert np.allclose(x.particles, want, rtol=0.0, atol=1e-10)
+
+
+def test_prox_abs_1d_matches_pooling_oracle():
+    # zero and quadratic potentials: every n against the min-max pooling formula
+    rng = np.random.default_rng(11)
+    for pot, a in ((profile("zero"), 0.0), (profile("quadratic", 0.7), 0.7)):
+        op = LagrangianOperator.from_functional(pw_functional(pot, profile("abs", 1.3)))
+        for n in range(2, 17):
+            for tau in (0.05, 0.5, 2.0):
+                y = rng.normal(size=n)
+                x = resolvent(op, tau, lag(y.reshape(n, 1))).particles.ravel()
+                want = oracles.pooled_abs_prox_1d(y, tau, coeff=1.3, quad=a)
+                assert np.allclose(x, want, rtol=0.0, atol=1e-12), (pot.kind, n, tau)
+
+
+@pytest.mark.parametrize(
+    "pot, pot_fn",
+    [(profile("abs", 0.4), oracles.abs_profile(0.4)), (profile("quartic", 1.5), oracles.quartic_profile(1.5))],
+    ids=["abs", "quartic"],
+)
+def test_prox_abs_1d_kinked_and_quartic_potentials_match_grid_search(pot, pot_fn):
+    op = LagrangianOperator.from_functional(pw_functional(pot, profile("abs")))
+    for tau, ys in ((0.3, [-0.8, 1.1]), (1.5, [0.2, 0.9]), (0.6, [-0.1, 0.05])):
+        ys = np.array(ys)
+        fn = oracles.prox_objective_1d(ys, tau, potential=pot_fn, interaction=oracles.abs_profile())
+        best, fbest = oracles.zoom_grid_minimize(fn, ys, radius=1.5, rounds=12, pts=25)
+        x = resolvent(op, tau, lag(ys.reshape(2, 1))).particles.ravel()
+        assert np.allclose(x, best, atol=1e-6)
+        assert fn(x) <= fbest + 1e-15
+
+
+@pytest.mark.parametrize(
+    "pot, inter, dim",
+    [(profile("zero"), profile("abs"), 1), (profile("quadratic", 0.5), profile("quartic", 2.0), 2)],
+    ids=["abs", "quartic"],
+)
+def test_pw_field_resolvent_equals_functional(pot, inter, dim):
+    y = LagrangianVector(np.random.default_rng(3).normal(size=(5, dim)))
+    via_field = resolvent(LagrangianOperator.from_velocity_field(pw_field(pot, inter)), 0.4, y)
+    via_energy = resolvent(LagrangianOperator.from_functional(pw_functional(pot, inter)), 0.4, y)
+    assert np.array_equal(via_field.particles, via_energy.particles)
+
+
+def test_collinear_2d_abs_prox_exact_or_raises():
+    # points on a line stay on it; the exact answer is the 1-D pooling
+    rng = np.random.default_rng(5)
+    op = abs_pair_op()
+    tau = 0.5
+    returned = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        t = rng.normal(size=n)
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        c = rng.normal(size=2)
+        y = c + t[:, None] * u
+        want = c + oracles.pooled_abs_prox_1d(t, tau)[:, None] * u
+        try:
+            x = resolvent(op, tau, LagrangianVector(y))
+        except OperatorError:
+            continue
+        returned += 1
+        assert np.allclose(x.particles, want, rtol=0.0, atol=1e-10)
+    assert returned > 0
 
 
 # ---------------------------------------------------------------------------
