@@ -165,7 +165,7 @@ def _cmd_w2(args):
     res = w2_exact(mu, nu)
     print(f"w2 distance = {res.distance}")
     if res.tie_detected:
-        print("note: several optimal plans exist; the canonical one was written")
+        print("note: several optimal plans exist; one of them was written")
     plan = res.plan
     rows = [
         (str(i), str(j), _fmt(plan.mass[i, j] / plan.denominator))

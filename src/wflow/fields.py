@@ -445,6 +445,14 @@ def field_to_json(f):
     }
 
 
+def _component_from_json(data, path):
+    weight = float(_finite(data["weight"], f"{path}.weight"))
+    try:
+        return weight, field_from_json(data["field"])
+    except FieldError as exc:
+        raise FieldError(f"{path}.field.{exc}") from exc
+
+
 def field_from_json(data):
     try:
         kind = data["kind"]
@@ -461,11 +469,9 @@ def field_from_json(data):
             _profile_from_json(params["interaction"], "params.interaction"),
         )
     elif kind == "superposition":
-        comps = [
-            (float(_finite(c["weight"], f"params.components[{k}].weight")), field_from_json(c["field"]))
-            for k, c in enumerate(params["components"])
-        ]
-        f = barycentric_projection(comps)
+        f = barycentric_projection(
+            [_component_from_json(c, f"params.components[{k}]") for k, c in enumerate(params["components"])]
+        )
     else:
         raise FieldError(f"unknown field kind: {kind!r}")
     if "lambda" in data and data["lambda"] is not None:

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 DENOMINATOR_CAP = 10**6
+PAIR_BYTES_CAP = 2**30
 
 
 class MeasureError(ValueError):
@@ -189,6 +191,15 @@ class LagrangianVector:
         return f"LagrangianVector({self.n_particles} particles in R^{self.dim})"
 
 
+def _check_pair_bytes(n, d):
+    # every dense n x n x d float64 array of pairwise differences is sized here first
+    if n * n * d * 8 > PAIR_BYTES_CAP:
+        raise MeasureError(
+            f"{n} particles in {d} dimensions need {n * n * d * 8} bytes of pairwise "
+            f"differences, above the cap {PAIR_BYTES_CAP}"
+        )
+
+
 def iota_project(vector, merge_eps):
     """Project a particle list to the measure it carries.
 
@@ -198,32 +209,15 @@ def iota_project(vector, merge_eps):
     """
     pts = vector.particles
     n = pts.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     if merge_eps > 0.0:
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        eps2 = merge_eps * merge_eps
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d2[i, j] <= eps2:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-        roots = [find(i) for i in range(n)]
-        labels = sorted(set(roots))
-        centers = np.empty((len(labels), pts.shape[1]))
-        counts = np.empty(len(labels), dtype=np.int64)
-        for k, lab in enumerate(labels):
-            members = [i for i in range(n) if roots[i] == lab]
-            centers[k] = pts[members].mean(axis=0)
-            counts[k] = len(members)
-        return DiscreteMeasure(centers, counts)
+        _check_pair_bytes(n, pts.shape[1])
+        close = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) <= merge_eps * merge_eps
+        # the graph search has a fixed cost far above a small projection's,
+        # so it runs only when some pair besides the diagonal is close
+        if np.count_nonzero(close) > n:
+            _, labels = connected_components(close, directed=False)
+            centers = np.array([pts[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+            return DiscreteMeasure(centers, np.bincount(labels))
     return DiscreteMeasure(pts, np.ones(n, dtype=np.int64))
 
 
@@ -250,6 +244,7 @@ def expand_pair(mu, nu):
     every particle, the index of the atom it sits on.
     """
     n = common_denominator(mu, nu)
+    _check_pair_bytes(n, mu.dim)
     src_atom = _particle_atoms(mu, n)
     tgt_atom = _particle_atoms(nu, n)
     return mu.atoms[src_atom], nu.atoms[tgt_atom], src_atom, tgt_atom
@@ -323,11 +318,14 @@ class Coupling:
         idx_i, idx_j = np.nonzero(self.mass)
         return list(zip(idx_i.tolist(), idx_j.tolist()))
 
+    def atom_costs(self):
+        """Squared distance from every source atom to every target atom."""
+        diff = self.mu.atoms[:, None, :] - self.nu.atoms[None, :, :]
+        return np.sum(diff**2, axis=-1)
+
     def cost(self):
         """Mass-weighted sum of squared displacements."""
-        diff = self.mu.atoms[:, None, :] - self.nu.atoms[None, :, :]
-        sq = np.sum(diff**2, axis=-1)
-        return float(np.sum(self.mass * sq) / self.denominator)
+        return float(np.sum(self.mass * self.atom_costs()) / self.denominator)
 
     def expanded_pairs(self):
         """Unit-mass particle pairs (sources, targets), lex order in (i, j)."""
@@ -397,7 +395,13 @@ def measure_from_json(data):
         x = entry.get("x")
         if x is None or len(x) != dim:
             raise MeasureError(f"atoms[{k}].x must have length {dim}")
-        atoms.append([float(v) for v in x])
+        try:
+            coords = [float(v) for v in x]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeasureError(f"atoms[{k}].x: {exc}") from exc
+        if not all(map(math.isfinite, coords)):
+            raise MeasureError(f"atoms[{k}].x: must be finite, got {x}")
+        atoms.append(coords)
         try:
             mults.append(int(entry.get("mult", 0)))
         except (TypeError, ValueError, OverflowError) as exc:

@@ -5,9 +5,10 @@ resolvent solves the implicit step X - tau * B(X) = Y on one of three paths,
 chosen from the operator alone: contraction fixed point when a Lipschitz
 bound allows it, the proximal solve of the energy when the law descends a
 potential-plus-interaction energy (exact pooling for 1-D ``abs``
-interaction, a certified cluster Newton otherwise), and a damped Newton
-iteration on the residual for any other law.  Every path either meets the
-configured tolerance or raises ``OperatorError``.
+interaction, the radial prox per particle for no interaction, a certified
+cluster Newton otherwise), and a damped Newton iteration on the residual
+for any other law.  Every path either meets the configured tolerance or
+raises ``OperatorError``.
 """
 
 from __future__ import annotations
@@ -298,6 +299,11 @@ def _solve_prox(functional, tau, y, cfg):
     n, d = ypts.shape
     if d == 1 and inter.kind == "abs":
         return _prox_abs_1d(ypts, tau, pot, inter.coeff)
+    if inter.kind == "zero":
+        # separable: each particle moves along its ray by the radial prox
+        r = np.linalg.norm(ypts, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return LagrangianVector(np.where(r > 0.0, ypts * pot.prox_1d(r, tau) / r, 0.0))
 
     members = [[i] for i in range(n)]
     z = ypts.copy()

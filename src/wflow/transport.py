@@ -21,7 +21,6 @@ from scipy.optimize import linear_sum_assignment
 from wflow.measures import Coupling, expand_pair, interpolate
 
 BRUTEFORCE_CAP = 8
-BOTTLENECK_CAP = 64
 
 
 class TransportError(ValueError):
@@ -45,7 +44,22 @@ class Certificate(Enum):
 class W2Result:
     distance: float
     plan: Coupling
-    tie_detected: bool
+
+    @property
+    def tie_detected(self):
+        """Whether another optimal plan exists through a zero-cost 2-swap.
+
+        Support cells (a, b) and (c, d) with a != c and b != d tie when
+        C_ad + C_cb equals C_ab + C_cd up to 1e-12 relative, C being the
+        atom cost matrix; moving a unit of mass across the swap then keeps
+        the cost.
+        """
+        c = self.plan.atom_costs()
+        a, b = np.nonzero(self.plan.mass)
+        direct = c[a, b][:, None] + c[a, b][None, :]
+        swapped = c[a[:, None], b[None, :]] + c[a[None, :], b[:, None]]
+        distinct = (a[:, None] != a[None, :]) & (b[:, None] != b[None, :])
+        return bool(np.any(distinct & (np.abs(swapped - direct) <= 1e-12 * direct)))
 
 
 @dataclass(frozen=True)
@@ -75,37 +89,16 @@ def _squared_distances(xs, ys):
 def w2_exact(mu, nu):
     """Quadratic transport distance with an optimal plan.
 
-    Solves the assignment problem on the particle expansion, then
-    canonicalizes the matching by greedy zero-cost 2-swaps toward the
-    lexicographically smallest target sequence so repeated runs produce
-    identical plans.  ``tie_detected`` reports whether some zero-cost swap
-    would have changed the atom-level plan, i.e. the optimizer had a
-    genuine choice.
+    Solves the assignment problem on the particle expansion and returns the
+    solver's own matching as the plan.  The solver is deterministic, so
+    repeated runs produce identical plans.
     """
     xs, ys, src_atom, tgt_atom = _expansion(mu, nu)
-    n = xs.shape[0]
     d2 = _squared_distances(xs, ys)
-    _, sigma = linear_sum_assignment(d2)
-    sigma = sigma.copy()
-
-    tie = False
-    for i in range(n):
-        best_j = -1
-        best_target = sigma[i]
-        for j in range(i + 1, n):
-            delta = d2[i, sigma[j]] + d2[j, sigma[i]] - d2[i, sigma[i]] - d2[j, sigma[j]]
-            if delta == 0.0:
-                if src_atom[i] != src_atom[j] and tgt_atom[sigma[i]] != tgt_atom[sigma[j]]:
-                    tie = True
-                if sigma[j] < best_target:
-                    best_target = sigma[j]
-                    best_j = j
-        if best_j >= 0:
-            sigma[i], sigma[best_j] = sigma[best_j], sigma[i]
-
-    cost = float(np.sum(d2[np.arange(n), sigma]) / n)
+    rows, sigma = linear_sum_assignment(d2)
+    cost = float(np.sum(d2[rows, sigma]) / xs.shape[0])
     plan = Coupling.from_matching(mu, nu, src_atom, tgt_atom[sigma])
-    return W2Result(distance=math.sqrt(max(cost, 0.0)), plan=plan, tie_detected=tie)
+    return W2Result(distance=math.sqrt(max(cost, 0.0)), plan=plan)
 
 
 def w2_bruteforce(mu, nu):
@@ -125,43 +118,21 @@ def w2_bruteforce(mu, nu):
     return math.sqrt(max(best / n, 0.0))
 
 
-def _has_perfect_matching(allowed):
-    n = allowed.shape[0]
-    match_of_col = np.full(n, -1, dtype=np.int64)
-
-    def augment(row, seen):
-        for col in range(n):
-            if allowed[row, col] and not seen[col]:
-                seen[col] = True
-                if match_of_col[col] < 0 or augment(match_of_col[col], seen):
-                    match_of_col[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not augment(row, np.zeros(n, dtype=bool)):
-            return False
-    return True
-
-
 def w_infinity(mu, nu):
     """Bottleneck transport distance: minimal worst single-particle move."""
     xs, ys, _, _ = _expansion(mu, nu)
-    n = xs.shape[0]
-    if n > BOTTLENECK_CAP:
-        raise TransportError(
-            f"bottleneck distance needs at most {BOTTLENECK_CAP} particles, got {n}"
-        )
     d2 = _squared_distances(xs, ys)
     values = np.unique(d2)
     lo, hi = 0, len(values) - 1
-    # smallest threshold admitting a perfect matching
+    # smallest threshold admitting a perfect matching: one exists exactly
+    # when the cheapest assignment uses no blocked pair
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(d2 <= values[mid]):
-            hi = mid
-        else:
+        blocked = d2 > values[mid]
+        if blocked[linear_sum_assignment(blocked)].any():
             lo = mid + 1
+        else:
+            hi = mid
     return math.sqrt(float(values[lo]))
 
 

@@ -291,6 +291,17 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_w2_oversized_expansion_exits_one_without_traceback(tmp_path, capsys):
+    # lcm(991, 997) = 988027 particles: the pairwise differences would need TiB
+    a, _ = measure_file(tmp_path, "a.json", [[0.0], [1.0]], mults=[1, 990])
+    b, _ = measure_file(tmp_path, "b.json", [[0.5], [2.0]], mults=[996, 1])
+    assert main(["w2", str(a), str(b), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "988027 particles in 1 dimensions" in captured.err
+    assert "above the cap" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_invalid_tau_reports_field_path(tmp_path, capsys):
     # bad and non-finite numbers are rejected at the boundary, naming the field
     implicit = {"kind": "implicit", "tau": 0.1}
@@ -322,6 +333,18 @@ def test_invalid_tau_reports_field_path(tmp_path, capsys):
                       "potential": {"kind": "quadratic", "coeff": math.nan},
                       "interaction": {"kind": "zero"}}}},
          "params.potential.coeff: must be finite, got nan"),
+        ("simulate", {"scheme": implicit, "measures": [{"dim": 1, "denominator": 1,
+                      "atoms": [{"x": [math.inf], "mult": 1}]}]},
+         "atoms[0].x: must be finite, got [inf]"),
+        ("simulate", {"scheme": implicit, "measures": [{"dim": 2, "denominator": 2,
+                      "atoms": [{"x": [0.0, 1.0], "mult": 1}, {"x": [0.0, "one"], "mult": 1}]}]},
+         "atoms[1].x: could not convert string to float"),
+        ("simulate", {"scheme": implicit, "field": {"kind": "superposition", "params": {"components": [
+                      {"weight": 0.5, "field": {"kind": "linear",
+                                                "params": {"matrix": [[-1.0]], "offset": [0.0]}}},
+                      {"weight": 0.5, "field": {"kind": "barycentric",
+                                                "params": {"strength": math.inf, "drift": [0.0]}}}]}}},
+         "params.components[1].field.params.strength: must be finite, got inf"),
     ]
     for command, overrides, message in cases:
         cfg = {

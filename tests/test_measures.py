@@ -10,6 +10,7 @@ from wflow.measures import (
     MeasureError,
     common_denominator,
     expand,
+    expand_pair,
     interpolate,
     iota_project,
     measure_from_json,
@@ -84,6 +85,24 @@ def test_iota_order_independent():
     a = iota_project(LagrangianVector(pts), 0.0)
     b = iota_project(LagrangianVector(pts[::-1].copy()), 0.0)
     assert a == b
+
+
+def test_iota_merges_transitive_chain_in_any_order():
+    # steps of 0.5 link the chain although its ends are 1.5 apart
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 5.0], [1.0, 0.0], [1.5, 0.0]])
+    want = DiscreteMeasure(np.array([[0.75, 0.0], [5.0, 5.0]]), np.array([4, 1]))
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        assert iota_project(LagrangianVector(pts[rng.permutation(5)]), 0.5) == want
+
+
+def test_pairwise_allocations_are_capped():
+    # 12000^2 float64 differences exceed 2**30 bytes: refused before allocating
+    big = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1, 11999]))
+    with pytest.raises(MeasureError, match="12000 particles in 1 dimensions"):
+        expand_pair(big, big)
+    with pytest.raises(MeasureError, match="12000 particles in 1 dimensions"):
+        iota_project(expand(big, 12000), 1e-6)
 
 
 def test_expand_uniform():

@@ -220,6 +220,22 @@ def test_pw_field_resolvent_equals_functional(pot, inter, dim):
     assert np.array_equal(via_field.particles, via_energy.particles)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_prox_without_interaction_lands_on_abs_kink(dim):
+    # separable prox: soft threshold of each particle's norm along its ray
+    op = LagrangianOperator.from_functional(pw_functional(profile("abs"), profile("zero")))
+    x = resolvent(op, 0.5, lag([[0.1] + [0.0] * (dim - 1), [2.0] + [0.0] * (dim - 1)]))
+    assert np.array_equal(x.particles[:, 0], [0.0, 1.5])
+    rng = np.random.default_rng(12)
+    for tau in (0.1, 0.5, 2.0):
+        y = rng.normal(size=(6, dim))
+        y[0] = 0.0
+        r = np.linalg.norm(y, axis=1, keepdims=True)
+        want = np.where(r > tau, y * (1.0 - tau / np.where(r > 0.0, r, 1.0)), 0.0)
+        x = resolvent(op, tau, LagrangianVector(y))
+        assert np.allclose(x.particles, want, rtol=0.0, atol=1e-15)
+
+
 def test_collinear_2d_abs_prox_exact_or_raises():
     # points on a line stay on it; the exact answer is the 1-D pooling
     rng = np.random.default_rng(5)

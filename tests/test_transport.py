@@ -84,6 +84,21 @@ def test_w2_matches_enumeration_on_random_pairs():
         assert abs(got.plan.cost() - got.distance**2) < 1e-12
 
 
+def test_tie_detected_on_squares_not_on_generic_pairs():
+    # {c +- (a, 0)} -> {c +- (0, a)}: all four moves cost 2a^2, so both
+    # matchings are optimal, up to rounding in the squared distances
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        c = rng.normal(scale=3.0, size=2)
+        a = rng.uniform(0.1, 2.0)
+        e0, e1 = np.array([a, 0.0]), np.array([0.0, a])
+        assert w2_exact(uniform([c + e0, c - e0]), uniform([c + e1, c - e1])).tie_detected
+    for _ in range(200):
+        mu = random_measure(rng, 2)
+        nu = random_measure(rng, 2)
+        assert not w2_exact(mu, nu).tie_detected
+
+
 def test_w2_dimension_mismatch():
     with pytest.raises(TransportError):
         w2_exact(DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([0.0, 0.0]))
@@ -155,6 +170,16 @@ def test_winf_matches_enumeration():
         ys = expand(nu, n).particles
         want = oracles.enum_winf(xs, ys)
         assert abs(w_infinity(mu, nu) - want) <= 1e-12 * max(1.0, want)
+
+
+def test_winf_past_64_particles_matches_sorted_matching():
+    # in 1-D the sorted matching minimises the worst move
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        x = rng.normal(size=100)
+        y = rng.normal(scale=2.0, size=100)
+        want = float(np.max(np.abs(np.sort(x) - np.sort(y))))
+        assert w_infinity(uniform(x), uniform(y)) == want
 
 
 # ---------------------------------------------------------------------------
