@@ -215,7 +215,14 @@ def iota_project(vector, merge_eps):
         # the graph search has a fixed cost far above a small projection's,
         # so it runs only when some pair besides the diagonal is close
         if np.count_nonzero(close) > n:
-            _, labels = connected_components(close, directed=False)
+            # when closeness is already an equivalence, each particle's first
+            # close index names its class, and numbering the classes by that
+            # index gives connected_components' labels without its fixed cost
+            first = close.argmax(axis=1)
+            if np.array_equal(close, first[:, None] == first[None, :]):
+                labels = np.unique(first, return_inverse=True)[1]
+            else:
+                _, labels = connected_components(close, directed=False)
             centers = np.array([pts[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
             return DiscreteMeasure(centers, np.bincount(labels))
     return DiscreteMeasure(pts, np.ones(n, dtype=np.int64))

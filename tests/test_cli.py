@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wflow.cli import main
 from wflow.measures import (
     Coupling,
@@ -291,15 +292,29 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_w2_oversized_expansion_exits_one_without_traceback(tmp_path, capsys):
+def coprime_991_997_files(tmp_path):
     # lcm(991, 997) = 988027 particles: the pairwise differences would need TiB
     a, _ = measure_file(tmp_path, "a.json", [[0.0], [1.0]], mults=[1, 990])
     b, _ = measure_file(tmp_path, "b.json", [[0.5], [2.0]], mults=[996, 1])
-    assert main(["w2", str(a), str(b), "--out", str(tmp_path)]) == 1
+    return a, b
+
+
+def test_winf_oversized_expansion_exits_one_without_traceback(tmp_path, capsys):
+    a, b = coprime_991_997_files(tmp_path)
+    assert main(["w-inf", str(a), str(b), "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "988027 particles in 1 dimensions" in captured.err
     assert "above the cap" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_w2_large_coprime_pair_solves_on_atoms(tmp_path, capsys):
+    a, b = coprime_991_997_files(tmp_path)
+    assert main(["w2", str(a), str(b), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    got = float(out.split("w2 distance =")[1].split()[0])
+    want = oracles.sorted_1d_w2([0.0, 1.0], [1, 990], [0.5, 2.0], [996, 1])
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_invalid_tau_reports_field_path(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from wflow.measures import (
     Coupling,
@@ -94,6 +95,31 @@ def test_iota_merges_transitive_chain_in_any_order():
     rng = np.random.default_rng(8)
     for _ in range(10):
         assert iota_project(LagrangianVector(pts[rng.permutation(5)]), 0.5) == want
+
+
+def test_iota_merge_equals_graph_components_bitwise():
+    # tight clusters take the equivalence shortcut, chains the graph search;
+    # both must give connected_components' own atoms and multiplicities
+    rng = np.random.default_rng(17)
+    eps = 1e-3
+    for k in range(400):
+        n, d = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        centers = rng.normal(size=(int(rng.integers(1, n + 1)), d))
+        pts = centers[rng.integers(0, centers.shape[0], size=n)]
+        if k % 2:
+            pts = pts + rng.uniform(-0.2, 0.2, size=pts.shape) * eps
+        if k % 4 == 3:
+            step = np.zeros(d)
+            step[0] = 0.9 * eps
+            pts[0] = pts[1] + step
+            pts[-1] = pts[0] + step
+        close = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) <= eps * eps
+        _, labels = connected_components(close, directed=False)
+        centers = np.array([pts[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+        got = iota_project(LagrangianVector(pts), eps)
+        want = DiscreteMeasure(centers, np.bincount(labels))
+        assert np.array_equal(got.atoms, want.atoms)
+        assert np.array_equal(got.multiplicities, want.multiplicities)
 
 
 def test_pairwise_allocations_are_capped():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import oracles
-from wflow.measures import Coupling, DiscreteMeasure, expand, interpolate
+import wflow.transport as transport
+from wflow.measures import Coupling, DiscreteMeasure, expand, expand_pair, interpolate
 from wflow.transport import (
+    ATOM_LP_MIN_PARTICLES,
     Certificate,
     GeodesicError,
     TransportError,
@@ -97,6 +100,176 @@ def test_tie_detected_on_squares_not_on_generic_pairs():
         mu = random_measure(rng, 2)
         nu = random_measure(rng, 2)
         assert not w2_exact(mu, nu).tie_detected
+
+
+def assignment_w2(mu, nu):
+    # independent oracle: the optimal matching of the full particle expansion
+    xs, ys, _, _ = expand_pair(mu, nu)
+    d2 = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=-1)
+    rows, cols = linear_sum_assignment(d2)
+    return math.sqrt(float(np.sum(d2[rows, cols])) / xs.shape[0])
+
+
+def composition(rng, total, parts):
+    cuts = np.sort(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]]))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(transport, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, name, spy)
+    return calls
+
+
+def check_exact_result(res, want):
+    assert math.isclose(res.distance, want, rel_tol=1e-12)
+    mass = res.plan.mass
+    assert mass.dtype == np.int64 and np.all(mass >= 0)
+    n = res.plan.denominator
+    assert np.array_equal(mass.sum(axis=1), res.plan.mu.multiplicities * (n // res.plan.mu.denominator))
+    assert np.array_equal(mass.sum(axis=0), res.plan.nu.multiplicities * (n // res.plan.nu.denominator))
+    assert math.isclose(res.plan.cost(), res.distance**2, rel_tol=1e-12)
+    assert isinstance(res.tie_detected, bool)
+
+
+def test_w2_atom_lp_matches_assignment_on_coprime_pairs(monkeypatch):
+    # a third of the pairs sit on integer grids, where equal costs make ties
+    lp_calls = count_calls(monkeypatch, "linprog")
+    rng = np.random.default_rng(31)
+    trials = 0
+    for p, q in ((13, 17), (23, 29), (31, 37)):
+        for k in range(12):
+            d = 1 + k % 3
+            ka, kb = (int(v) for v in rng.integers(2, 9, size=2))
+            if k % 3 == 0:
+                a = rng.integers(-2, 3, size=(ka, d)).astype(float)
+                b = rng.integers(-2, 3, size=(kb, d)).astype(float)
+            else:
+                a, b = rng.normal(size=(ka, d)), rng.normal(size=(kb, d))
+            mu = DiscreteMeasure(a, composition(rng, p, ka))
+            nu = DiscreteMeasure(b, composition(rng, q, kb))
+            check_exact_result(w2_exact(mu, nu), assignment_w2(mu, nu))
+            trials += 1
+    assert len(lp_calls) == trials
+
+
+def test_w2_atom_lp_certifies_near_tied_costs():
+    # targets within 1e-9 of source atoms give costs near 0 beside costs near
+    # 1; solved unscaled, HiGHS stopped on vertices 1e-10 from optimal here
+    rng = np.random.default_rng(41)
+    for k in range(24):
+        d = 1 + k % 3
+        ka, kb = (int(v) for v in rng.integers(3, 9, size=2))
+        a = rng.normal(size=(ka, d))
+        b = a[rng.integers(0, ka, size=kb)] + rng.normal(scale=1e-9, size=(kb, d))
+        mu = DiscreteMeasure(a, composition(rng, 23, ka))
+        nu = DiscreteMeasure(b, composition(rng, 29, kb))
+        check_exact_result(w2_exact(mu, nu), assignment_w2(mu, nu))
+
+
+def test_w2_solvers_agree_across_the_dispatch_boundary(monkeypatch):
+    lp_calls = count_calls(monkeypatch, "linprog")
+    rng = np.random.default_rng(7)
+    # lcm(11, 18) = 198 and lcm(8, 25) = 200 straddle the threshold
+    assert 198 < ATOM_LP_MIN_PARTICLES <= 200
+    for (p, q), lp in (((11, 18), 0), ((8, 25), 1)):
+        mu = DiscreteMeasure(rng.normal(size=(4, 2)), composition(rng, p, 4))
+        nu = DiscreteMeasure(rng.normal(size=(5, 2)), composition(rng, q, 5))
+        before = len(lp_calls)
+        check_exact_result(w2_exact(mu, nu), assignment_w2(mu, nu))
+        assert len(lp_calls) - before == lp
+    # a uniform cloud has k1 * k2 = n^2 atom pairs, so it stays on the assignment
+    cloud_a, cloud_b = uniform(rng.normal(size=(200, 2))), uniform(rng.normal(size=(200, 2)))
+    check_exact_result(w2_exact(cloud_a, cloud_b), assignment_w2(cloud_a, cloud_b))
+    assert len(lp_calls) == 1
+
+
+def test_w2_atom_lp_matches_sorted_rearrangement_in_1d():
+    rng = np.random.default_rng(3)
+    for p, q in ((61, 67), (97, 101)):
+        xa, xb = np.sort(rng.normal(size=3)), np.sort(rng.normal(size=4))
+        ma, mb = composition(rng, p, 3), composition(rng, q, 4)
+        res = w2_exact(DiscreteMeasure(xa[:, None], ma), DiscreteMeasure(xb[:, None], mb))
+        check_exact_result(res, oracles.sorted_1d_w2(xa, ma, xb, mb))
+
+
+def lp_pair():
+    # 1-D and sorted, so the anti-monotone plan is a feasible vertex far from optimal
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [3.0]]), np.array([5, 4, 4]))
+    nu = DiscreteMeasure(np.array([[-1.0], [0.5], [2.0], [4.0]]), np.array([3, 5, 5, 4]))
+    return mu, nu
+
+
+def anti_monotone_plan(rows, cols):
+    # north-west corner rule with the target order reversed
+    rows, cols = rows.copy(), cols[::-1].copy()
+    plan = np.zeros((rows.size, cols.size))
+    i = j = 0
+    while i < rows.size and j < cols.size:
+        m = min(rows[i], cols[j])
+        plan[i, j] = m
+        rows[i] -= m
+        cols[j] -= m
+        i += rows[i] == 0
+        j += cols[j] == 0
+    return plan[:, ::-1]
+
+
+def corrupt_non_optimal(res, rows, cols):
+    res.x = anti_monotone_plan(rows, cols).ravel()
+
+
+def corrupt_fractional(res, rows, cols):
+    res.x = 0.63 * res.x + 0.37 * anti_monotone_plan(rows, cols).ravel()
+
+
+def corrupt_duals(res, rows, cols):
+    res.eqlin.marginals = res.eqlin.marginals + np.r_[np.full(rows.size, 0.5), np.zeros(cols.size)]
+
+
+def corrupt_status(res, rows, cols):
+    res.status, res.message = 2, "The problem is infeasible."
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (corrupt_status, "failed"),
+        (corrupt_non_optimal, "not optimal"),
+        (corrupt_fractional, "fractional"),
+        (corrupt_duals, "reduced cost is negative"),
+    ],
+    ids=["status", "non_optimal_vertex", "fractional", "infeasible_duals"],
+)
+def test_w2_atom_lp_fails_loudly_without_fallback(monkeypatch, corrupt, reason):
+    mu, nu = lp_pair()
+    n = mu.denominator * nu.denominator
+    assert n >= ATOM_LP_MIN_PARTICLES
+    rows, cols = mu.multiplicities * (n // mu.denominator), nu.multiplicities * (n // nu.denominator)
+    real = transport.linprog
+
+    def bad_linprog(*args, **kwargs):
+        res = real(*args, **kwargs)
+        corrupt(res, rows.astype(float), cols.astype(float))
+        return res
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the assignment ran after the LP failed")
+
+    assert w2_exact(mu, nu).distance == pytest.approx(
+        oracles.sorted_1d_w2([0.0, 1.0, 3.0], [5, 4, 4], [-1.0, 0.5, 2.0, 4.0], [3, 5, 5, 4]),
+        rel=1e-12,
+    )
+    monkeypatch.setattr(transport, "linprog", bad_linprog)
+    monkeypatch.setattr(transport, "linear_sum_assignment", no_fallback)
+    with pytest.raises(TransportError, match=f"atom transport LP.*{reason}"):
+        w2_exact(mu, nu)
 
 
 def test_w2_dimension_mismatch():
